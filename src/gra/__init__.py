@@ -14,7 +14,6 @@ from .analysis import (
     GrowthCategory,
     GrowthClassification,
     classify,
-    detect_cycle,
     fit_growth,
     increment_periodicity,
     increment_support,
@@ -36,7 +35,7 @@ from .graph import (
     state_fingerprint,
 )
 from .rules import Rule, complement_rule, decode, encode, single_division_subset
-from .sweep import SweepConfig, SweepReport, period_census, resume_sweep, run_sweep
+from .sweep import SweepConfig, SweepReport, resume_sweep, run_sweep
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "configuration_census",
     "configuration_vector",
     "decode",
-    "detect_cycle",
     "divide_vertex",
     "encode",
     "evolve",
@@ -71,7 +69,6 @@ __all__ = [
     "increment_support",
     "k4_one_alive",
     "load_graph",
-    "period_census",
     "reference_divide_dense",
     "reference_step_dense",
     "resume_sweep",

@@ -19,20 +19,14 @@ kernels below are the per-step inner loops:
     of old vertex v is v + 2*(dividers below v), so the whole surgery is
     done in O(order) regardless of how many vertices divide.
 
-Two interchangeable backends are provided.  The numba backend compiles
-explicit loops with @njit; the numpy backend expresses the same
-arithmetic with vectorized operations.  Selection happens once at import
-time:
-
-* numba not importable          -> numpy backend
-* GRA_PURE_NUMPY set (not "0")  -> numpy backend
-* otherwise                     -> numba backend
-
-Both backends stay importable so differential tests and the benchmark
-can compare them on identical inputs.
+Two backends implement the same arithmetic.  The numba backend compiles
+the explicit ``_loop_*`` kernels with @njit; the numpy backend expresses
+them with vectorized operations.  ``ACTIVE`` is chosen once at import:
+numba when it is importable, numpy otherwise.  The uncompiled loop
+kernels stay importable as the reference that differential tests run
+against both.
 """
 
-import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,15 +37,6 @@ try:
     HAS_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
     HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-PURE_NUMPY_REQUESTED = os.environ.get("GRA_PURE_NUMPY", "") not in ("", "0")
 
 
 # --------------------------------------------------------------------------
@@ -73,19 +58,19 @@ def _np_divide_all(neighbors, states, div, n_div):
     newpos = np.arange(o, dtype=np.int64) + 2 * (np.cumsum(div64) - div64)
     o2 = o + 2 * n_div
 
-    # rank_back[v, k]: position of v inside the sorted row of its k-th
-    # neighbor; that is the clone slot v attaches to if that neighbor
-    # divides this step.
-    rank_back = np.argmax(
-        neighbors[neighbors] == np.arange(o, dtype=np.int64)[:, None, None], axis=2
-    )
-    target = newpos[neighbors] + np.where(div[neighbors] != 0, rank_back, 0)
+    # a slot of v pointing at a divider u attaches to the clone of u whose
+    # offset is v's position inside u's sorted row
+    target = newpos[neighbors]
+    vs, slots = np.nonzero(div[neighbors])
+    target[vs, slots] += np.argmax(neighbors[neighbors[vs, slots]] == vs[:, None], axis=1)
 
     new_neighbors = np.empty((o2, 3), dtype=np.int64)
     new_states = np.empty(o2, dtype=np.uint8)
 
     keep = div == 0
-    new_neighbors[newpos[keep]] = np.sort(target[keep], axis=1)
+    # relabeling is strictly increasing and a clone offset (+0..+2) stays
+    # below the next vertex's new index, so these rows are already ascending
+    new_neighbors[newpos[keep]] = target[keep]
     new_states[newpos] = states
 
     div_idx = np.flatnonzero(~keep)
@@ -197,15 +182,12 @@ class Backend(NamedTuple):
 NUMPY_BACKEND = Backend("numpy", _np_step_tables, _np_divide_all)
 
 if HAS_NUMBA:
-    _nb_step_tables = njit(cache=True)(_loop_step_tables)
-    _nb_divide_all = njit(cache=True)(_loop_divide_all)
-    NUMBA_BACKEND = Backend("numba", _nb_step_tables, _nb_divide_all)
-else:
-    NUMBA_BACKEND = None
-
-if NUMBA_BACKEND is not None and not PURE_NUMPY_REQUESTED:
+    NUMBA_BACKEND = Backend(
+        "numba", njit(cache=True)(_loop_step_tables), njit(cache=True)(_loop_divide_all)
+    )
     ACTIVE = NUMBA_BACKEND
 else:
+    NUMBA_BACKEND = None
     ACTIVE = NUMPY_BACKEND
 
 

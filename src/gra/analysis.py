@@ -1,4 +1,4 @@
-"""Evolution traces, cycle detection, growth-model fitting and classification."""
+"""Evolution traces, cycle periods, growth-model fitting and classification."""
 
 import enum
 import math
@@ -22,13 +22,12 @@ class EvolutionTrace:
 
     orders has length steps+1 (orders[t] is the order at time t); increments
     has length steps with increments[t] = orders[t+1] - orders[t].
-    fingerprints covers only the trailing constant-order window, which is
-    the only place a cycle can live since the order never decreases.
+    cycle_period is set only when evolve confirmed an exact state cycle
+    (stop_reason "cycle-found"); final_graph is absent for recorded series.
     """
 
     orders: np.ndarray
     increments: np.ndarray
-    fingerprints: list[str]
     stop_reason: str
     cycle_period: Optional[int] = None
     final_graph: Optional[Graph] = None
@@ -108,46 +107,8 @@ class GrowthClassification:
 
 
 # --------------------------------------------------------------------------
-# cycle detection
+# cycle period
 # --------------------------------------------------------------------------
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _snap_bytes(x) -> bytes:
-    if isinstance(x, bytes):
-        return x
-    return np.ascontiguousarray(np.asarray(x, dtype=np.uint8)).tobytes()
-
-
-def detect_cycle(window: Sequence) -> Optional[int]:
-    """Smallest period of exact repetition in a constant-order state window.
-
-    The window must come from consecutive steps of a deterministic
-    evolution with no divisions.  Entries are state vectors (arrays,
-    sequences of 0/1, or raw bytes); comparison is exact, not digest-based.
-    Returns None when nothing repeats inside the window.
-    """
-    keys = [_snap_bytes(x) for x in window]
-    seen: dict[bytes, int] = {}
-    for j, key in enumerate(keys):
-        if key in seen:
-            i = seen[key]
-            p0 = j - i
-            for q in _divisors(p0):
-                if all(keys[r] == keys[r + q] for r in range(i, len(keys) - q)):
-                    return q
-            return p0
-        seen[key] = j
-    return None
-
 
 def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> int:
     """Reduce a known return time to the minimal period.

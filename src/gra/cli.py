@@ -133,7 +133,6 @@ def _classify(args) -> int:
         trace = EvolutionTrace(
             orders=np.asarray(orders, dtype=np.int64),
             increments=np.asarray(increments, dtype=np.int64),
-            fingerprints=[],
             stop_reason="max-steps",
         )
         cls = classify(trace)

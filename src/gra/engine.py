@@ -27,7 +27,12 @@ from .analysis import (
     EvolutionTrace,
     minimal_period,
 )
-from .errors import EngineInvariantError, IndexOutOfRangeError, LengthMismatchError
+from .errors import (
+    EngineInvariantError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NonBinaryStateError,
+)
 from .graph import Graph, state_fingerprint
 from .rules import Rule
 
@@ -61,14 +66,10 @@ class Budget:
             "wall_clock": self.wall_clock,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Budget":
-        return cls(**d)
 
-
-def step(g: Graph, rule: Rule, backend: Optional[_kernels.Backend] = None) -> StepOutcome:
+def step(g: Graph, rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph."""
-    be = backend if backend is not None else _kernels.ACTIVE
+    be = _kernels.ACTIVE
     new_states, div, n_div = be.step_tables(
         g.neighbors, g.states, rule.next_state, rule.divides
     )
@@ -87,7 +88,7 @@ def step(g: Graph, rule: Rule, backend: Optional[_kernels.Backend] = None) -> St
     return StepOutcome(graph=out, divisions_performed=n_div, order_increment=inc)
 
 
-def divide_vertex(g: Graph, v: int, backend: Optional[_kernels.Backend] = None) -> Graph:
+def divide_vertex(g: Graph, v: int) -> Graph:
     """Divide a single vertex: replace it by a triangle of three clones on
     consecutive indices, each inheriting one former neighbor (ascending
     neighbor index to ascending clone index) and the current state of v.
@@ -98,51 +99,47 @@ def divide_vertex(g: Graph, v: int, backend: Optional[_kernels.Backend] = None) 
         raise IndexOutOfRangeError(f"vertex {v} out of range for order {g.order}")
     d = np.zeros(g.order, dtype=np.uint8)
     d[v] = 1
-    return apply_divisions(g, d, backend=backend)
+    return apply_divisions(g, d)
 
 
-def apply_divisions(
-    g: Graph, d, backend: Optional[_kernels.Backend] = None
-) -> Graph:
+def apply_divisions(g: Graph, d) -> Graph:
     """Perform every division flagged in d, lowest index first.
 
     Equivalent to repeatedly locating the first 1 in d, dividing there
     (which shifts later indices up by two and replaces the handled entry by
     three zeros, so clones never divide in the same pass) until d is null.
+    Every entry of d must be 0 or 1.
     """
-    d = np.asarray(d, dtype=np.uint8)
+    d = np.asarray(d)
     if d.shape != (g.order,):
         raise LengthMismatchError(
             f"division vector length {d.shape} does not match order {g.order}"
         )
+    if not np.isin(d, (0, 1)).all():
+        raise NonBinaryStateError("division vector entries must be 0 or 1")
+    d = d.astype(np.uint8)
     n_div = int(d.sum())
     if n_div == 0:
         return g
-    be = backend if backend is not None else _kernels.ACTIVE
-    nb2, st2 = be.divide_all(g.neighbors, g.states.copy(), d, n_div)
+    nb2, st2 = _kernels.ACTIVE.divide_all(g.neighbors, g.states.copy(), d, n_div)
     out = Graph._wrap(nb2, st2, g.time)
     if out.order != g.order + 2 * n_div:
         raise EngineInvariantError("division surgery produced a wrong order")
     return out
 
 
-def _advance_states(g: Graph, rule: Rule, k: int, backend) -> np.ndarray:
+def _advance_states(g: Graph, rule: Rule, k: int) -> np.ndarray:
     """States k steps ahead of g, asserting the topology stays frozen."""
     cur = g
     for _ in range(k):
-        out = step(cur, rule, backend=backend)
+        out = step(cur, rule)
         if out.divisions_performed:
             raise EngineInvariantError("division inside a confirmed cycle window")
         cur = out.graph
     return cur.states
 
 
-def evolve(
-    g0: Graph,
-    rule: Rule,
-    budget: Budget,
-    backend: Optional[_kernels.Backend] = None,
-) -> EvolutionTrace:
+def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     """Run the rule from g0 until a budget limit hits or a cycle is confirmed.
 
     Cycle search: state fingerprints are mapped to steps within the current
@@ -157,7 +154,6 @@ def evolve(
     orders = [g.order]
     increments: list[int] = []
     digest = state_fingerprint(g)
-    window: list[str] = [digest]
     seen: dict[str, int] = {digest: 0}
     pending: Optional[tuple[int, int, bytes]] = None  # (due step, period, states)
     cycle_period: Optional[int] = None
@@ -174,7 +170,7 @@ def evolve(
         if deadline is not None and _time.monotonic() >= deadline:
             stop = STOP_WALL_CLOCK
             break
-        out = step(g, rule, backend=backend)
+        out = step(g, rule)
         g = out.graph
         t += 1
         orders.append(g.order)
@@ -182,10 +178,8 @@ def evolve(
 
         if out.divisions_performed:
             seen.clear()
-            window.clear()
             pending = None
         digest = state_fingerprint(g)
-        window.append(digest)
 
         if g.order > budget.max_order:
             stop = STOP_MAX_ORDER
@@ -200,7 +194,7 @@ def evolve(
                 if g.states.tobytes() == snap:
                     cycle_period = minimal_period(
                         g.states,
-                        lambda s0, k, _g=g, _r=rule: _advance_states(_g, _r, k, backend),
+                        lambda s0, k, _g=g, _r=rule: _advance_states(_g, _r, k),
                         p,
                     )
                     stop = STOP_CYCLE
@@ -213,15 +207,12 @@ def evolve(
             seen[digest] = t
         if len(seen) > CYCLE_WINDOW_CAP:
             seen.clear()
-            window.clear()
-            window.append(digest)
             seen[digest] = t
             pending = None
 
     return EvolutionTrace(
         orders=np.asarray(orders, dtype=np.int64),
         increments=np.asarray(increments, dtype=np.int64),
-        fingerprints=window,
         stop_reason=stop,
         cycle_period=cycle_period,
         final_graph=g,

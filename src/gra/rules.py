@@ -69,10 +69,7 @@ def complement_rule(rule: Rule) -> Rule:
     """
     next_state = np.array([1 - int(rule.next_state[7 - c]) for c in range(8)], dtype=np.uint8)
     divides = np.array([int(rule.divides[7 - c]) for c in range(8)], dtype=np.uint8)
-    n = 0
-    for i in range(8):
-        n += (int(next_state[i]) << i) + (int(divides[i]) << (i + 8))
-    return decode(n)
+    return decode(encode(Rule(number=-1, next_state=next_state, divides=divides)))
 
 
 def parse_rule_number(text: str) -> int:

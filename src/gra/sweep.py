@@ -97,6 +97,7 @@ class SweepReport:
         return counts
 
     def period_census(self) -> dict[int, int]:
+        """Cycle-period histogram over the Halted rules."""
         census: dict[int, int] = {}
         for rec in self.records:
             if rec["category"] == GrowthCategory.HALTED.value:
@@ -296,11 +297,6 @@ def resume_sweep(journal_path, config: SweepConfig, progress=None) -> SweepRepor
     by_rule.update({rec["rule"]: rec for rec in new_records})
     records = [by_rule[n] for n in sorted(config.rule_numbers)]
     return SweepReport(config=config, records=records)
-
-
-def period_census(report: SweepReport) -> dict[int, int]:
-    """Cycle-period histogram over the Halted rules of a report."""
-    return report.period_census()
 
 
 # --------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_c9_step_cost_scales_linearly():
             finally:
                 gc.enable()
             medians.append(statistics.median(times))
-        print(f"  backend={_kernels.backend_name()}")
+        print(f"  backend: {_kernels.backend_name()}")
         for order, med in zip(orders, medians):
             print(f"    order {order:>9,}: {med * 1e3:8.2f} ms/step")
         for k in range(1, len(orders)):

@@ -9,13 +9,19 @@ from gra.analysis import (
     GrowthCategory,
     Periodicity,
     classify,
-    detect_cycle,
     fit_growth,
     increment_periodicity,
     increment_support,
+    minimal_period,
     zero_growth_intervals,
 )
+from gra.engine import Budget, evolve
 from gra.errors import DegenerateWindowError
+from gra.graph import build_graph
+from gra.rules import decode
+
+K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 
 
 def make_trace(orders, stop_reason="max-steps", cycle_period=None):
@@ -23,7 +29,6 @@ def make_trace(orders, stop_reason="max-steps", cycle_period=None):
     return EvolutionTrace(
         orders=orders,
         increments=np.diff(orders),
-        fingerprints=[],
         stop_reason=stop_reason,
         cycle_period=cycle_period,
     )
@@ -34,34 +39,53 @@ def trace_from_increments(increments, start=16):
     return make_trace(orders)
 
 
+def cyclic_advance(sequence):
+    """advance() for minimal_period over a cyclic list of state vectors."""
+    return lambda states, k: sequence[k % len(sequence)]
+
+
+def distinct_states(n):
+    return [np.array([(t >> b) & 1 for b in range(3)], dtype=np.uint8) for t in range(n)]
+
+
 class TestDetectCycle:
+    """Cycles are found one way: evolve nominates a period by digest,
+    confirms it on exact states, and minimal_period reduces it."""
+
     def test_fixed_point(self):
-        window = [np.zeros(4, dtype=np.uint8)] * 5
-        assert detect_cycle(window) == 1
+        seq = distinct_states(1)
+        assert minimal_period(seq[0], cyclic_advance(seq), 6) == 1
 
     def test_blinker(self):
-        a = np.array([1, 0, 1, 0], dtype=np.uint8)
-        b = np.array([0, 1, 0, 1], dtype=np.uint8)
-        assert detect_cycle([a, b, a, b, a]) == 2
-
-    def test_preperiod_then_cycle(self):
-        c = np.array([1, 1, 1, 1], dtype=np.uint8)
-        a = np.array([1, 0, 0, 0], dtype=np.uint8)
-        b = np.array([0, 1, 1, 1], dtype=np.uint8)
-        assert detect_cycle([c, a, b, a, b]) == 2
+        seq = distinct_states(2)
+        assert minimal_period(seq[0], cyclic_advance(seq), 4) == 2
 
     def test_minimality(self):
-        # recurrence after 4 steps, but the true period is 2
-        a = np.array([1, 0], dtype=np.uint8)
-        b = np.array([0, 1], dtype=np.uint8)
-        assert detect_cycle([a, b, a, b, a, b, a]) == 2
+        # a return after 12 steps reduces to the true period 6, not below
+        seq = distinct_states(6)
+        assert minimal_period(seq[0], cyclic_advance(seq), 12) == 6
+
+    def test_preperiod_then_cycle(self):
+        # one alive vertex on the triangular prism: a 2-step transient, then
+        # a 6-cycle, nominated at t=8 and confirmed at t=14
+        g = build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 0))
+        trace = evolve(g, decode(135), Budget(max_steps=100))
+        assert trace.stop_reason == "cycle-found"
+        assert trace.cycle_period == 6
+        assert trace.steps == 2 + 2 * 6
 
     def test_no_cycle(self):
-        window = [np.array([t % 2, t % 3], dtype=np.uint8) for t in range(5)]
-        assert detect_cycle(window) is None
+        # the blinker repeats at t=2, but confirmation is due at t=4
+        g = build_graph(K4_EDGES, (1, 1, 1, 1))
+        trace = evolve(g, decode(0b1111), Budget(max_steps=3))
+        assert trace.stop_reason == "max-steps"
+        assert trace.cycle_period is None
 
     def test_empty(self):
-        assert detect_cycle([]) is None
+        g = build_graph(K4_EDGES, (1, 0, 0, 0))
+        trace = evolve(g, decode(0), Budget(max_steps=0))
+        assert trace.steps == 0
+        assert trace.cycle_period is None
 
 
 class TestFitGrowth:

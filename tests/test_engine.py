@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gra import _kernels
 from gra.engine import Budget, apply_divisions, divide_vertex, evolve, step
-from gra.errors import IndexOutOfRangeError, LengthMismatchError
+from gra.errors import IndexOutOfRangeError, LengthMismatchError, NonBinaryStateError
 from gra.graph import (
+    Graph,
     build_graph,
     canonical_g0,
     complement_states,
@@ -71,6 +73,11 @@ class TestApplyDivisions:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             apply_divisions(k4_one_alive(), np.zeros(5, dtype=np.uint8))
+
+    @pytest.mark.parametrize("d", [[0, 2, 0, 0], [0, 0.5, 0, 0], [0, -1, 0, 0]])
+    def test_rejects_entries_other_than_zero_or_one(self, d):
+        with pytest.raises(NonBinaryStateError):
+            apply_divisions(k4_one_alive(), d)
 
     def test_three_divisions_match_sequential(self):
         g = k4_one_alive()
@@ -153,15 +160,56 @@ class TestStep:
         assert lhs == rhs
 
 
-@pytest.mark.skipif(_kernels.NUMBA_BACKEND is None, reason="numba unavailable")
+# the uncompiled loop kernels are the reference; numba compiles the same code
+LOOP_BACKEND = _kernels.Backend("loop", _kernels._loop_step_tables, _kernels._loop_divide_all)
+BACKENDS = [
+    b for b in (LOOP_BACKEND, _kernels.NUMPY_BACKEND, _kernels.NUMBA_BACKEND) if b is not None
+]
+
+
+def assert_divide_all_agrees(g, states, div):
+    n_div = int(div.sum())
+    ref_nb, ref_st = LOOP_BACKEND.divide_all(g.neighbors, states.copy(), div, n_div)
+    Graph._wrap(ref_nb, ref_st, g.time).validate()
+    for be in BACKENDS[1:]:
+        nb, st_ = be.divide_all(g.neighbors, states.copy(), div, n_div)
+        assert np.array_equal(nb, ref_nb), be.name
+        assert np.array_equal(st_, ref_st), be.name
+
+
 class TestBackendEquivalence:
+    """Every backend's kernels give identical arrays on identical inputs."""
+
     @given(graphs(), rules)
+    @settings(max_examples=80, deadline=None)
+    def test_step_tables_agree(self, g, rule):
+        ref = LOOP_BACKEND.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        for be in BACKENDS[1:]:
+            out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+            assert np.array_equal(out[0], ref[0]), be.name
+            assert np.array_equal(out[1], ref[1]), be.name
+            assert int(out[2]) == int(ref[2]), be.name
+
+    @given(graphs(), rules)
+    @settings(max_examples=80, deadline=None)
+    def test_divide_all_agrees_on_rule_divisions(self, g, rule):
+        new_states, div, n_div = _kernels.NUMPY_BACKEND.step_tables(
+            g.neighbors, g.states, rule.next_state, rule.divides
+        )
+        if n_div:
+            assert_divide_all_agrees(g, new_states, div)
+
+    @given(graphs(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_numpy_and_numba_agree(self, g, rule):
-        a = step(g, rule, backend=_kernels.NUMPY_BACKEND)
-        b = step(g, rule, backend=_kernels.NUMBA_BACKEND)
-        assert a.graph == b.graph
-        assert a.divisions_performed == b.divisions_performed
+    def test_divide_all_agrees_on_one_divider(self, g, data):
+        div = np.zeros(g.order, dtype=np.uint8)
+        div[data.draw(st.integers(0, g.order - 1))] = 1
+        assert_divide_all_agrees(g, g.states, div)
+
+    @given(graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_divide_all_agrees_when_every_vertex_divides(self, g):
+        assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
 
 
 class TestEvolve:
@@ -186,6 +234,7 @@ class TestEvolve:
         assert trace.steps == 37
         assert len(trace.orders) == 38
         assert len(trace.increments) == 37
+        assert trace.cycle_period is None
 
     def test_max_order_budget(self):
         trace = evolve(canonical_g0(), decode(256), Budget(max_steps=10_000, max_order=1_000))

@@ -20,7 +20,6 @@ def make_trace(orders):
     return EvolutionTrace(
         orders=orders,
         increments=np.diff(orders),
-        fingerprints=[],
         stop_reason="max-steps",
     )
 

@@ -8,7 +8,6 @@ from gra.sweep import (
     config_from_dict,
     format_census_table,
     load_preset,
-    period_census,
     read_journal,
     resume_sweep,
     run_sweep,
@@ -133,13 +132,13 @@ class TestResume:
 class TestPeriodCensus:
     def test_single_halted_rule(self):
         report = run_sweep(small_config(rule_numbers=[0]))
-        assert period_census(report) == {1: 1}
+        assert report.period_census() == {1: 1}
 
     def test_no_halted_rules(self):
         report = run_sweep(
             small_config(rule_numbers=[256], budget=Budget(max_steps=12, max_order=10**9))
         )
-        assert period_census(report) == {}
+        assert report.period_census() == {}
 
 
 class TestBaselineDiff:
