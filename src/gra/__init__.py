@@ -35,7 +35,7 @@ from .graph import (
     state_fingerprint,
 )
 from .rules import Rule, complement_rule, decode, encode, single_division_subset
-from .sweep import SweepConfig, SweepReport, resume_sweep, run_sweep
+from .sweep import SweepConfig, SweepReport, run_sweep
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "load_graph",
     "reference_divide_dense",
     "reference_step_dense",
-    "resume_sweep",
     "run_sweep",
     "save_graph",
     "single_division_subset",

@@ -1,7 +1,7 @@
 """Command-line surface: simulate, sweep, export, classify, intervals.
 
 Exit codes: 0 success (budget stops included), 1 usage error, 2 I/O error,
-3 internal invariant violation.
+3 internal invariant violation (for sweep, also any rule whose run raised).
 """
 
 import argparse
@@ -21,13 +21,7 @@ from .export import (
 )
 from .graph import graph_digest, resolve_initial_graph
 from .rules import decode, parse_rule_number
-from .sweep import (
-    format_census_table,
-    load_config,
-    load_preset,
-    resume_sweep,
-    run_sweep,
-)
+from .sweep import format_census_table, load_config, load_preset, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,14 +96,14 @@ def _sweep(args) -> int:
         if args.verbose and (done["n"] % 64 == 0 or done["n"] == total):
             print(f"  {done['n']}/{total} rules", file=sys.stderr)
 
-    if args.resume and journal.exists():
-        report = resume_sweep(journal, config, progress)
-    else:
-        report = run_sweep(config, journal, progress)
+    report = run_sweep(config, journal, progress)
     _write_text(report_path, report.to_json())
     print(format_census_table(report))
     print(f"report: {report_path}")
-    return EXIT_OK
+    failed = [rec for rec in report.records if rec["error"] is not None]
+    for rec in failed:
+        print(f"rule {rec['rule']} failed: {rec['error']}", file=sys.stderr)
+    return EXIT_INTERNAL if failed else EXIT_OK
 
 
 def _export(args) -> int:
@@ -185,12 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run many rules and aggregate a census")
     p.add_argument("--config", help="JSON sweep config file")
     p.add_argument("--preset", help="shipped preset name (e.g. single-division-1024)")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", required=True, help="output directory; a rerun continues it")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--initial", default=None)
-    p.add_argument("--resume", action="store_true", help="continue an interrupted sweep")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_sweep)
 

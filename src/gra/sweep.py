@@ -2,14 +2,17 @@
 
 Rules are embarrassingly parallel: each worker runs one full evolution
 plus classification.  Results are merged by rule number, so the report is
-identical for any worker count.  A journal file gets one JSON line per
-completed rule, flushed in ascending rule order, which makes interrupted
-sweeps resumable and clean reruns byte-identical.
+identical for any worker count.  A journal file gets a header line plus
+one JSON line per completed rule, flushed in ascending rule order.  A
+sweep always continues the journal it is given, so rerunning a killed
+sweep finishes it, and the finished journal is byte-identical to that of
+an uninterrupted run.
 """
 
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -45,7 +48,6 @@ class SweepConfig:
     budget: Budget
     thresholds: ClassifyThresholds = field(default_factory=ClassifyThresholds)
     workers: int = 1
-    compare_baseline: Optional[bool] = None  # None = auto
 
     def __post_init__(self):
         if not self.rule_numbers:
@@ -106,8 +108,6 @@ class SweepReport:
         return dict(sorted(census.items()))
 
     def baseline_enabled(self) -> bool:
-        if self.config.compare_baseline is not None:
-            return self.config.compare_baseline
         return sorted(self.config.rule_numbers) == single_division_subset()
 
     def baseline_diff(self) -> Optional[dict]:
@@ -184,118 +184,93 @@ def _worker(args) -> dict:
         }
 
 
-def _journal_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+def _journal_line(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 
-def _run_rules(
-    config: SweepConfig,
-    rule_numbers: list[int],
-    journal_fh=None,
-    progress=None,
-) -> list[dict]:
-    """Evolve+classify the given rules; flush journal lines in ascending
-    rule order as soon as the next pending rule completes."""
+def _run_rules(config: SweepConfig, todo: list[int], journal_fh=None, progress=None) -> list[dict]:
+    """Evolve+classify the rules in todo (ascending); flush journal lines in
+    that order as soon as the next pending rule completes."""
     g0 = config.initial_graph()
-    todo = sorted(rule_numbers)
+    jobs = [(n, g0, config.budget, config.thresholds) for n in todo]
     results: dict[int, dict] = {}
     flushed = 0
-
-    def flush():
-        nonlocal flushed
-        while flushed < len(todo) and todo[flushed] in results:
-            if journal_fh is not None:
-                journal_fh.write(_journal_line(results[todo[flushed]]))
-                journal_fh.flush()
-            flushed += 1
-
-    if config.workers <= 1:
-        for n in todo:
-            results[n] = _worker((n, g0, config.budget, config.thresholds))
+    with ExitStack() as stack:
+        if config.workers <= 1:
+            completed = map(_worker, jobs)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            completed = (
+                fut.result() for fut in as_completed([pool.submit(_worker, job) for job in jobs])
+            )
+        for rec in completed:
+            results[rec["rule"]] = rec
             if progress is not None:
-                progress(results[n])
-            flush()
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(_worker, (n, g0, config.budget, config.thresholds)): n
-                for n in todo
-            }
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    rec = fut.result()
-                    results[rec["rule"]] = rec
-                    if progress is not None:
-                        progress(rec)
-                flush()
-    flush()
+                progress(rec)
+            while flushed < len(todo) and todo[flushed] in results:
+                if journal_fh is not None:
+                    journal_fh.write(_journal_line(results[todo[flushed]]))
+                    journal_fh.flush()
+                flushed += 1
     return [results[n] for n in todo]
 
 
-def run_sweep(
-    config: SweepConfig, journal_path=None, progress=None
-) -> SweepReport:
-    """Run every configured rule from the shared initial graph.
-
-    When journal_path is given, a header line plus one record line per rule
-    are written as the sweep advances (ascending rule order)."""
-    journal_fh = None
-    try:
-        if journal_path is not None:
-            journal_fh = open(journal_path, "w", encoding="utf-8")
-            journal_fh.write(
-                _journal_line(
-                    {"kind": "header", "fingerprint": config.fingerprint(), "config": config.echo()}
-                )
-            )
-            journal_fh.flush()
-        records = _run_rules(config, config.rule_numbers, journal_fh, progress)
-    finally:
-        if journal_fh is not None:
-            journal_fh.close()
-    return SweepReport(config=config, records=records)
+def _parse_journal(data: bytes) -> tuple[Optional[str], list[dict], int]:
+    """(header fingerprint, rule records, byte length) of the complete lines."""
+    size = data.rfind(b"\n") + 1
+    lines = data[:size].splitlines()
+    if not lines:
+        return None, [], 0
+    header = json.loads(lines[0])
+    if header.get("kind") != "header":
+        raise ConfigMismatchError("journal does not start with a header line")
+    return header["fingerprint"], [json.loads(line) for line in lines[1:]], size
 
 
 def read_journal(journal_path) -> tuple[Optional[str], list[dict]]:
-    """Parse a journal file into (header fingerprint, rule records)."""
-    fingerprint = None
-    records = []
-    with open(journal_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if obj.get("kind") == "header":
-                fingerprint = obj["fingerprint"]
-            else:
-                records.append(obj)
+    """Parse a journal file into (header fingerprint, rule records).
+
+    Only newline-terminated lines count: an unterminated last line is what
+    a killed sweep leaves behind, and it is ignored.  The fingerprint is
+    None when the file holds no complete line.  ConfigMismatchError is
+    raised when the first complete line is not a header."""
+    with open(journal_path, "rb") as fh:
+        fingerprint, records, _ = _parse_journal(fh.read())
     return fingerprint, records
 
 
-def resume_sweep(journal_path, config: SweepConfig, progress=None) -> SweepReport:
-    """Complete a partial sweep; the final report matches an uninterrupted run.
+def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepReport:
+    """Run every configured rule from the shared initial graph.
 
-    The journal must come from a config with the same rules, initial graph,
-    budgets and thresholds, otherwise ConfigMismatchError is raised."""
-    fingerprint, existing = read_journal(journal_path)
-    if fingerprint != config.fingerprint():
-        raise ConfigMismatchError(
-            "journal was produced by a different configuration "
-            f"({fingerprint} != {config.fingerprint()})"
-        )
-    done = {rec["rule"] for rec in existing}
-    missing = [n for n in sorted(config.rule_numbers) if n not in done]
-    if missing:
-        with open(journal_path, "a", encoding="utf-8") as fh:
-            new_records = _run_rules(config, missing, fh, progress)
-    else:
-        new_records = []
-    by_rule = {rec["rule"]: rec for rec in existing}
-    by_rule.update({rec["rule"]: rec for rec in new_records})
-    records = [by_rule[n] for n in sorted(config.rule_numbers)]
+    With a journal_path whose file is missing or holds no complete line,
+    a header line is written and every rule runs.  Otherwise the sweep
+    continues that journal: an unterminated last line is cut off, the
+    rules already recorded are taken from it, and only the rest run and
+    get appended (ascending rule order).  A journal from another config
+    raises ConfigMismatchError and is left untouched: its fingerprint
+    differs, its first line is not a header, or its records are not the
+    first rules of this sweep in ascending order.  progress is called once
+    per rule that runs, so never on a rerun of a finished sweep."""
+    todo = sorted(config.rule_numbers)
+    if journal_path is None:
+        return SweepReport(config=config, records=_run_rules(config, todo, None, progress))
+    expected = config.fingerprint()
+    with open(journal_path, "a+b") as fh:
+        fh.seek(0)
+        fingerprint, done, size = _parse_journal(fh.read())
+        if fingerprint not in (None, expected):
+            raise ConfigMismatchError(
+                f"journal was produced by a different configuration ({fingerprint} != {expected})"
+            )
+        if [rec["rule"] for rec in done] != todo[: len(done)]:
+            raise ConfigMismatchError(
+                "journal records are not the first rules of this sweep in ascending order"
+            )
+        fh.truncate(size)
+        if fingerprint is None:
+            header = {"kind": "header", "fingerprint": expected, "config": config.echo()}
+            fh.write(_journal_line(header))
+        records = done + _run_rules(config, todo[len(done):], fh, progress)
     return SweepReport(config=config, records=records)
 
 
@@ -343,7 +318,6 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
         budget=budget,
         thresholds=thresholds,
         workers=int(doc.get("workers", 1)),
-        compare_baseline=doc.get("compare_baseline"),
     )
 
 

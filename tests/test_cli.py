@@ -145,17 +145,52 @@ class TestSweepCommand:
         assert (d1 / "journal.jsonl").read_bytes() == (d2 / "journal.jsonl").read_bytes()
 
     def test_resume_flag(self, tmp_path, capsys):
+        # a plain rerun in the same --out continues the journal
         config = self._config(tmp_path, [0, 256, 770, 2222])
         d1 = tmp_path / "o1"
         run(["sweep", "--config", str(config), "--out", str(d1)], capsys)
         full_journal = (d1 / "journal.jsonl").read_text().splitlines(keepends=True)
         (d1 / "journal.jsonl").write_text("".join(full_journal[:3]))
         report_before = (d1 / "report.json").read_bytes()
-        code, _, _ = run(
-            ["sweep", "--config", str(config), "--out", str(d1), "--resume"], capsys
-        )
+        code, _, _ = run(["sweep", "--config", str(config), "--out", str(d1)], capsys)
         assert code == 0
         assert (d1 / "report.json").read_bytes() == report_before
+        assert (d1 / "journal.jsonl").read_text() == "".join(full_journal)
+
+    def test_rerun_with_other_budget_refused(self, tmp_path, capsys):
+        config = self._config(tmp_path, [0, 256, 770, 2222])
+        d1 = tmp_path / "o1"
+        run(["sweep", "--config", str(config), "--out", str(d1)], capsys)
+        journal = d1 / "journal.jsonl"
+        journal.write_bytes(b"".join(journal.read_bytes().splitlines(keepends=True)[:3]))
+        before = journal.read_bytes()
+        code, _, err = run(
+            ["sweep", "--config", str(config), "--out", str(d1), "--max-steps", "61"], capsys
+        )
+        assert code == 1
+        assert "different configuration" in err
+        assert journal.read_bytes() == before
+
+    def test_failed_rule_exits_internal(self, tmp_path, capsys, monkeypatch):
+        import gra.sweep
+        from gra.errors import EngineInvariantError
+
+        real_evolve = gra.sweep.evolve
+
+        def evolve(g0, rule, budget):
+            if rule.number == 770:
+                raise EngineInvariantError("injected")
+            return real_evolve(g0, rule, budget)
+
+        monkeypatch.setattr(gra.sweep, "evolve", evolve)
+        config = self._config(tmp_path, [0, 256, 770, 2222], workers=1)
+        out_dir = tmp_path / "o"
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
+        assert code == 3
+        assert "rule 770 failed: EngineInvariantError: injected" in err
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [r["rule"] for r in report["rules"] if r["error"]] == [770]
+        assert len((out_dir / "journal.jsonl").read_text().splitlines()) == 5
 
 
 class TestClassifyCommand:

@@ -3,13 +3,14 @@ import pytest
 from gra.analysis import ClassifyThresholds
 from gra.engine import Budget
 from gra.errors import ConfigMismatchError, GraError
+from gra.rules import single_division_subset
 from gra.sweep import (
     SweepConfig,
+    SweepReport,
     config_from_dict,
     format_census_table,
     load_preset,
     read_journal,
-    resume_sweep,
     run_sweep,
 )
 
@@ -101,7 +102,22 @@ class TestResume:
         lines = clean_journal.read_text().splitlines(keepends=True)
         partial.write_text("".join(lines[: 1 + 4]))
 
-        resumed = resume_sweep(partial, config)
+        resumed = run_sweep(config, journal_path=partial)
+        assert resumed.to_json() == clean.to_json()
+        assert partial.read_bytes() == clean_journal.read_bytes()
+
+    def test_journal_cut_mid_line_resumes_to_clean_bytes(self, tmp_path):
+        config = small_config()
+        clean_journal = tmp_path / "clean.jsonl"
+        clean = run_sweep(config, journal_path=clean_journal)
+
+        # a kill while a record line is being written leaves half of it
+        lines = clean_journal.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_bytes(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
+
+        assert read_journal(partial)[1] == clean.records[:3]
+        resumed = run_sweep(config, journal_path=partial)
         assert resumed.to_json() == clean.to_json()
         assert partial.read_bytes() == clean_journal.read_bytes()
 
@@ -109,16 +125,48 @@ class TestResume:
         config = small_config()
         journal = tmp_path / "j.jsonl"
         run_sweep(config, journal_path=journal)
+        before = journal.read_bytes()
         altered = small_config(budget=Budget(max_steps=121, max_order=20_000))
         with pytest.raises(ConfigMismatchError):
-            resume_sweep(journal, altered)
+            run_sweep(altered, journal_path=journal)
+        assert journal.read_bytes() == before
+
+    def test_duplicated_record_rejected(self, tmp_path):
+        config = small_config()
+        journal = tmp_path / "j.jsonl"
+        run_sweep(config, journal_path=journal)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:3] + [lines[2]]))
+        before = journal.read_bytes()
+        with pytest.raises(ConfigMismatchError):
+            run_sweep(config, journal_path=journal)
+        assert journal.read_bytes() == before
+
+    def test_journal_without_header_rejected(self, tmp_path):
+        config = small_config()
+        journal = tmp_path / "j.jsonl"
+        run_sweep(config, journal_path=journal)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[1:]))
+        with pytest.raises(ConfigMismatchError):
+            run_sweep(config, journal_path=journal)
 
     def test_resume_of_complete_run_is_unchanged(self, tmp_path):
         config = small_config()
         journal = tmp_path / "j.jsonl"
         report = run_sweep(config, journal_path=journal)
-        resumed = resume_sweep(journal, config)
+        before = journal.read_bytes()
+        resumed = run_sweep(config, journal_path=journal)
         assert resumed.to_json() == report.to_json()
+        assert journal.read_bytes() == before
+
+    def test_rerun_of_finished_sweep_runs_no_rule(self, tmp_path):
+        config = small_config()
+        journal = tmp_path / "j.jsonl"
+        run_sweep(config, journal_path=journal)
+        calls = []
+        run_sweep(config, journal_path=journal, progress=calls.append)
+        assert calls == []
 
     def test_journal_round_trip(self, tmp_path):
         config = small_config()
@@ -148,11 +196,19 @@ class TestBaselineDiff:
         assert "category" in format_census_table(report)
 
     def test_forced_on(self):
-        report = run_sweep(small_config(compare_baseline=True))
+        # synthetic records over the canonical family; nothing is evolved
+        rules = single_division_subset()
+        records = [
+            {"rule": n, "category": "Halted" if n % 2 else "Exponential", "cycle_period": 1}
+            for n in rules
+        ]
+        report = SweepReport(config=small_config(rule_numbers=rules), records=records)
         diff = report.baseline_diff()
         assert diff is not None
         assert diff["categories"]["Halted"]["reference"] == 422
         assert diff["categories"]["Exponential"]["reference"] == 374
+        assert diff["categories"]["Halted"]["observed"] == 512
+        assert diff["periods"]["1"] == {"observed": 512, "reference": 310, "delta": 202}
         table = format_census_table(report)
         assert "reference" in table
 
@@ -193,3 +249,12 @@ class TestConfigFiles:
         a = small_config()
         b = small_config(budget=Budget(max_steps=121, max_order=20_000))
         assert a.fingerprint() != b.fingerprint()
+
+    def test_preset_fingerprints_are_stable(self):
+        # journals written by earlier versions must stay resumable
+        assert load_preset("single-division-smoke").fingerprint() == (
+            "590d5fe8df5785549f82a86318b51041"
+        )
+        assert load_preset("single-division-1024").fingerprint() == (
+            "4b836ca695be3b9cb397c64a5c724d78"
+        )
