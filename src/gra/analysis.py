@@ -20,17 +20,20 @@ STOP_WALL_CLOCK = "wall-clock"
 class EvolutionTrace:
     """Per-step record of one evolution.
 
-    orders has length steps+1 (orders[t] is the order at time t); increments
-    has length steps with increments[t] = orders[t+1] - orders[t].
+    orders has length steps+1 (orders[t] is the order at time t).
     cycle_period is set only when evolve confirmed an exact state cycle
     (stop_reason "cycle-found"); final_graph is absent for recorded series.
     """
 
     orders: np.ndarray
-    increments: np.ndarray
     stop_reason: str
     cycle_period: Optional[int] = None
     final_graph: Optional[Graph] = None
+
+    @property
+    def increments(self) -> np.ndarray:
+        """Length steps; increments[t] = orders[t+1] - orders[t]."""
+        return np.diff(self.orders)
 
     @property
     def steps(self) -> int:
@@ -69,24 +72,6 @@ class ClassifyThresholds:
     # edge out the linear model on genuinely linear data
     tie_epsilon: float = 1e-4
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_linear": self.theta_linear,
-            "theta_power": self.theta_power,
-            "theta_exponential": self.theta_exponential,
-            "quadratic_exponent_band": list(self.quadratic_exponent_band),
-            "window_fraction": self.window_fraction,
-            "periodicity_cap": self.periodicity_cap,
-            "tie_epsilon": self.tie_epsilon,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifyThresholds":
-        kw = dict(d)
-        if "quadratic_exponent_band" in kw:
-            kw["quadratic_exponent_band"] = tuple(kw["quadratic_exponent_band"])
-        return cls(**kw)
-
 
 @dataclass
 class GrowthClassification:
@@ -95,15 +80,6 @@ class GrowthClassification:
     increment_period: Optional[int] = None
     fit: Optional["GrowthFits"] = None
     thresholds: ClassifyThresholds = field(default_factory=ClassifyThresholds)
-
-    def to_dict(self) -> dict:
-        return {
-            "category": self.category.value,
-            "cycle_period": self.cycle_period,
-            "increment_period": self.increment_period,
-            "fit": self.fit.to_dict() if self.fit is not None else None,
-            "thresholds": self.thresholds.to_dict(),
-        }
 
 
 # --------------------------------------------------------------------------
@@ -143,9 +119,6 @@ class ModelFit:
     params: dict[str, float]
     adjusted_r2: float
 
-    def to_dict(self) -> dict:
-        return {"model": self.model, "params": dict(self.params), "adjusted_r2": self.adjusted_r2}
-
 
 @dataclass
 class GrowthFits:
@@ -154,15 +127,7 @@ class GrowthFits:
     exponential: ModelFit
     window: tuple[int, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "linear": self.linear.to_dict(),
-            "power": self.power.to_dict() if self.power is not None else None,
-            "exponential": self.exponential.to_dict(),
-            "window": list(self.window),
-        }
-
-    def best(self, tie_epsilon: float = 1e-4) -> ModelFit:
+    def best(self, tie_epsilon: float = ClassifyThresholds.tie_epsilon) -> ModelFit:
         """Highest adjusted R2; near-ties go to the simpler model
         (linear over power over exponential)."""
         ranked = [self.linear]
@@ -263,7 +228,7 @@ class Periodicity:
 
 
 def increment_periodicity(
-    increments: Sequence[int], cap: int = 128
+    increments: Sequence[int], cap: int = ClassifyThresholds.periodicity_cap
 ) -> Optional[Periodicity]:
     """Smallest eventual period of the increment sequence, with its shortest
     preperiod, confirmed over the whole observed suffix.
@@ -351,12 +316,8 @@ def classify(
 
     steps = trace.steps
     start = int(math.floor(steps * (1.0 - th.window_fraction)))
-    stop = steps + 1
-    if stop - start < 10:
-        return GrowthClassification(category=GrowthCategory.UNCLASSIFIED, thresholds=th)
-
     try:
-        fits = fit_growth(trace.orders, window=(start, stop))
+        fits = fit_growth(trace.orders, window=(start, steps + 1))
     except DegenerateWindowError:
         return GrowthClassification(category=GrowthCategory.UNCLASSIFIED, thresholds=th)
 

@@ -8,11 +8,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import classify, zero_growth_intervals
+import numpy as np
+
+from .analysis import STOP_MAX_STEPS, EvolutionTrace, classify, zero_growth_intervals
 from .engine import Budget, evolve
 from .errors import EngineInvariantError, GraError
 from .export import (
     EXPORT_FORMATS,
+    as_record,
     dump_json,
     export_graph,
     format_for_path,
@@ -21,7 +24,7 @@ from .export import (
 )
 from .graph import graph_digest, resolve_initial_graph
 from .rules import decode, parse_rule_number
-from .sweep import format_census_table, load_config, load_preset, run_sweep
+from .sweep import format_census_table, load_config, load_preset, read_journal, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,7 +56,7 @@ def _simulate(args) -> int:
             "final_order": trace.final_order,
             "stop_reason": trace.stop_reason,
             "cycle_period": trace.cycle_period,
-            "classification": cls.to_dict(),
+            "classification": as_record(cls),
         }
         _write_text(args.trace_json, dump_json(doc))
     if args.export:
@@ -88,7 +91,8 @@ def _sweep(args) -> int:
     journal = out_dir / "journal.jsonl"
     report_path = out_dir / "report.json"
 
-    done = {"n": 0}
+    # a rerun continues the journal, so its rules count as done already
+    done = {"n": len(read_journal(journal)[1]) if journal.exists() else 0}
     total = len(config.rule_numbers)
 
     def progress(rec):
@@ -114,22 +118,17 @@ def _export(args) -> int:
     return EXIT_OK
 
 
+def _read_series(path) -> EvolutionTrace:
+    """A recorded series as a trace.  It carries no state history, so cycles
+    cannot be confirmed from it; its verdict is growth-pattern only."""
+    with open(path, "r", encoding="utf-8") as fh:
+        orders = parse_series_csv(fh.read())
+    return EvolutionTrace(orders=np.asarray(orders, dtype=np.int64), stop_reason=STOP_MAX_STEPS)
+
+
 def _classify(args) -> int:
     if args.csv:
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            orders, increments = parse_series_csv(fh.read())
-        import numpy as np
-
-        from .analysis import EvolutionTrace
-
-        # a recorded series carries no state history, so cycles cannot be
-        # confirmed here; the verdict is growth-pattern only
-        trace = EvolutionTrace(
-            orders=np.asarray(orders, dtype=np.int64),
-            increments=np.asarray(increments, dtype=np.int64),
-            stop_reason="max-steps",
-        )
-        cls = classify(trace)
+        cls = classify(_read_series(args.csv))
     else:
         if args.rule is None:
             raise GraError("classify needs --csv or --rule")
@@ -138,7 +137,7 @@ def _classify(args) -> int:
         budget = Budget(max_steps=args.steps, max_order=args.max_order)
         trace = evolve(g0, rule, budget)
         cls = classify(trace)
-    text = dump_json(cls.to_dict())
+    text = dump_json(as_record(cls))
     if args.json:
         _write_text(args.json, text)
     print(text, end="")
@@ -146,9 +145,7 @@ def _classify(args) -> int:
 
 
 def _intervals(args) -> int:
-    with open(args.csv, "r", encoding="utf-8") as fh:
-        _, increments = parse_series_csv(fh.read())
-    hist = zero_growth_intervals(increments)
+    hist = zero_growth_intervals(_read_series(args.csv).increments)
     doc = {str(k): v for k, v in sorted(hist.items())}
     text = dump_json(doc)
     if args.json:
@@ -168,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rule", help="rule number, decimal or prefixed binary (0b...)")
     p.add_argument("--steps", type=int, default=1000, help="step budget")
     p.add_argument("--initial", default="paper-g0", help="builtin name or graph file")
-    p.add_argument("--max-order", type=int, default=5_000_000)
+    p.add_argument("--max-order", type=int, default=Budget.max_order)
     p.add_argument("--wall-clock", type=float, default=None, help="seconds")
     p.add_argument("--csv", help="write t,order,increment series here")
     p.add_argument("--trace-json", help="write the JSON trace summary here")
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", help="rule number to run instead of reading a CSV")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--initial", default="paper-g0")
-    p.add_argument("--max-order", type=int, default=5_000_000)
+    p.add_argument("--max-order", type=int, default=Budget.max_order)
     p.add_argument("--json", help="also write the classification here")
     p.set_defaults(func=_classify)
 
@@ -221,9 +218,6 @@ def main(argv=None) -> int:
     except GraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -24,7 +24,7 @@ def dense_from_graph(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return g.adjacency_matrix(), g.states.copy()
 
 
-def graph_from_dense(adjacency: np.ndarray, states: np.ndarray, time: int = 0) -> Graph:
+def graph_from_dense(adjacency: np.ndarray, states: np.ndarray) -> Graph:
     o = adjacency.shape[0]
     neighbors = np.empty((o, 3), dtype=np.int64)
     for v in range(o):
@@ -32,7 +32,7 @@ def graph_from_dense(adjacency: np.ndarray, states: np.ndarray, time: int = 0) -
         if len(nz) != 3:
             raise LengthMismatchError(f"dense row {v} has degree {len(nz)}")
         neighbors[v] = nz  # flatnonzero is ascending
-    return Graph._wrap(neighbors, states.astype(np.uint8), time)
+    return Graph._wrap(neighbors, states.astype(np.uint8))
 
 
 def reference_divide_dense(
@@ -99,5 +99,4 @@ def reference_step_dense(
     division = rule.divides[conf].astype(np.int64)
     n_div = int(division.sum())
     a2, s2 = reference_apply_divisions_dense(a, new_s, division)
-    out = graph_from_dense(a2, s2, g.time + 1)
-    return StepOutcome(graph=out, divisions_performed=n_div, order_increment=out.order - g.order)
+    return StepOutcome(graph=graph_from_dense(a2, s2), divisions_performed=n_div)

@@ -44,7 +44,6 @@ CYCLE_WINDOW_CAP = 100_000
 class StepOutcome:
     graph: Graph
     divisions_performed: int
-    order_increment: int
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,6 @@ class Budget:
     max_order: int = 5_000_000
     wall_clock: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "max_order": self.max_order,
-            "wall_clock": self.wall_clock,
-        }
-
 
 def step(g: Graph, rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph."""
@@ -79,21 +71,19 @@ def step(g: Graph, rule: Rule) -> StepOutcome:
     else:
         # no topology change: share the immutable neighbor table
         nb2, st2 = g.neighbors, new_states
-    out = Graph._wrap(nb2, st2, g.time + 1)
+    out = Graph._wrap(nb2, st2)
     inc = out.order - g.order
     if inc != 2 * n_div:
         raise EngineInvariantError(
             f"order changed by {inc} for {n_div} divisions"
         )
-    return StepOutcome(graph=out, divisions_performed=n_div, order_increment=inc)
+    return StepOutcome(graph=out, divisions_performed=n_div)
 
 
 def divide_vertex(g: Graph, v: int) -> Graph:
     """Divide a single vertex: replace it by a triangle of three clones on
     consecutive indices, each inheriting one former neighbor (ascending
     neighbor index to ascending clone index) and the current state of v.
-
-    This is a surgical operation; the step counter does not advance.
     """
     if not 0 <= v < g.order:
         raise IndexOutOfRangeError(f"vertex {v} out of range for order {g.order}")
@@ -122,7 +112,7 @@ def apply_divisions(g: Graph, d) -> Graph:
     if n_div == 0:
         return g
     nb2, st2 = _kernels.ACTIVE.divide_all(g.neighbors, g.states.copy(), d, n_div)
-    out = Graph._wrap(nb2, st2, g.time)
+    out = Graph._wrap(nb2, st2)
     if out.order != g.order + 2 * n_div:
         raise EngineInvariantError("division surgery produced a wrong order")
     return out
@@ -152,7 +142,6 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     """
     g = g0
     orders = [g.order]
-    increments: list[int] = []
     digest = state_fingerprint(g)
     seen: dict[str, int] = {digest: 0}
     pending: Optional[tuple[int, int, bytes]] = None  # (due step, period, states)
@@ -174,7 +163,6 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         g = out.graph
         t += 1
         orders.append(g.order)
-        increments.append(out.order_increment)
 
         if out.divisions_performed:
             seen.clear()
@@ -212,7 +200,6 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
 
     return EvolutionTrace(
         orders=np.asarray(orders, dtype=np.int64),
-        increments=np.asarray(increments, dtype=np.int64),
         stop_reason=stop,
         cycle_period=cycle_period,
         final_graph=g,

@@ -5,7 +5,9 @@ vertex state both as a raw attribute and as a fill color (alive purple,
 dead orange) so stock tools reproduce the two-color rendering directly.
 """
 
+import enum
 import json
+from dataclasses import asdict
 from xml.sax.saxutils import escape
 
 from .analysis import EvolutionTrace
@@ -91,27 +93,45 @@ def trace_to_csv(trace: EvolutionTrace) -> str:
     """Order series as CSV. Row t carries the growth into step t, so the
     first row's increment is 0 and row t equals orders[t] - orders[t-1]."""
     lines = ["t,order,increment"]
+    increments = trace.increments
     for t, order in enumerate(trace.orders):
-        inc = int(trace.increments[t - 1]) if t > 0 else 0
+        inc = int(increments[t - 1]) if t > 0 else 0
         lines.append(f"{t},{int(order)},{inc}")
     return "\n".join(lines) + "\n"
 
 
-def parse_series_csv(text: str) -> tuple[list[int], list[int]]:
-    """Read a t,order,increment CSV back into (orders, increments).
+def parse_series_csv(text: str) -> list[int]:
+    """Read the order column of a t,order,increment CSV.
 
-    Increments are recomputed from the order column, so hand-edited or
-    truncated increment columns cannot poison the analysis.
+    The increment column is not read: a trace derives its increments from
+    the orders, so hand-edited or truncated increment columns cannot poison
+    the analysis.
     """
-    orders: list[int] = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("t,"):
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not rows or not rows[0][1].lower().startswith("t,"):
         raise ValueError("expected a header row: t,order,increment")
-    for ln in lines[1:]:
+    orders: list[int] = []
+    for lineno, ln in rows[1:]:
         parts = ln.split(",")
+        if len(parts) < 2:
+            raise ValueError(f"line {lineno}: expected t,order,increment, got {ln!r}")
         orders.append(int(parts[1]))
-    increments = [orders[i + 1] - orders[i] for i in range(len(orders) - 1)]
-    return orders, increments
+    return orders
+
+
+def _json_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def as_record(obj) -> dict:
+    """A dataclass as a dict keyed by its fields, nested dataclasses
+    included.  Enum members become their values and tuples lists, so the
+    dict equals its own JSON round trip."""
+    return asdict(obj, dict_factory=lambda items: {k: _json_value(v) for k, v in items})
 
 
 def dump_json(obj) -> str:

@@ -21,7 +21,7 @@ def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) 
     neighbors.sort(axis=1)
     rng = np.random.default_rng(seed)
     states = (rng.random(order) < alive_probability).astype(np.uint8)
-    return Graph._wrap(neighbors, states, 0)
+    return Graph._wrap(neighbors, states)
 
 
 def random_regular_graph(

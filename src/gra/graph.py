@@ -33,19 +33,17 @@ class Graph:
     Fields:
         neighbors: (order, 3) int64 array, each row sorted ascending.
         states:    (order,) uint8 array of 0/1 values.
-        time:      nonnegative step counter.
     """
 
     neighbors: np.ndarray
     states: np.ndarray
-    time: int = 0
 
     @property
     def order(self) -> int:
         return self.states.shape[0]
 
     def __eq__(self, other) -> bool:
-        """Labeled equality: same order, adjacency and states (time ignored)."""
+        """Labeled equality: same order, adjacency and states."""
         if not isinstance(other, Graph):
             return NotImplemented
         return np.array_equal(self.neighbors, other.neighbors) and np.array_equal(
@@ -54,14 +52,14 @@ class Graph:
 
     def __repr__(self) -> str:
         alive = int(self.states.sum())
-        return f"Graph(order={self.order}, alive={alive}, time={self.time})"
+        return f"Graph(order={self.order}, alive={alive})"
 
     @classmethod
-    def _wrap(cls, neighbors: np.ndarray, states: np.ndarray, time: int) -> "Graph":
+    def _wrap(cls, neighbors: np.ndarray, states: np.ndarray) -> "Graph":
         """Internal fast constructor; trusts kernel-produced arrays."""
         neighbors.flags.writeable = False
         states.flags.writeable = False
-        return cls(neighbors=neighbors, states=states, time=time)
+        return cls(neighbors=neighbors, states=states)
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -106,9 +104,7 @@ class Graph:
             raise GraphValidationError("neighbor table is not symmetric")
 
 
-def build_graph(
-    edge_list: Iterable[Edge], states: Sequence[int], time: int = 0
-) -> Graph:
+def build_graph(edge_list: Iterable[Edge], states: Sequence[int]) -> Graph:
     """Build and validate a Graph from an unordered edge list and a state list.
 
     Raises NotThreeRegularError, NonBinaryStateError, SelfLoopError,
@@ -143,7 +139,7 @@ def build_graph(
             raise NotThreeRegularError(f"vertex {v} has degree {len(adj[v])}, expected 3")
 
     neighbors = np.array([sorted(row) for row in adj], dtype=np.int64)
-    g = Graph._wrap(neighbors, states_arr.astype(np.uint8), time)
+    g = Graph._wrap(neighbors, states_arr.astype(np.uint8))
     g.validate()
     return g
 
@@ -161,7 +157,7 @@ def configuration_census(g: Graph) -> np.ndarray:
 
 def complement_states(g: Graph) -> Graph:
     """Same adjacency, every state flipped."""
-    return Graph._wrap(g.neighbors, (1 - g.states).astype(np.uint8), g.time)
+    return Graph._wrap(g.neighbors, (1 - g.states).astype(np.uint8))
 
 
 def state_fingerprint(g: Graph) -> str:

@@ -13,16 +13,16 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
-from .analysis import ClassifyThresholds, GrowthCategory, classify
+from .analysis import ClassifyThresholds, GrowthCategory, GrowthFits, classify
 from .engine import Budget, evolve
 from .errors import ConfigMismatchError, GraError
-from .export import dump_json
+from .export import as_record, dump_json
 from .graph import Graph, graph_digest, resolve_initial_graph
-from .rules import decode, parse_rule_number, single_division_subset
+from .rules import RULE_SPACE, decode, parse_rule_number, single_division_subset
 
 CATEGORY_ORDER = [c.value for c in GrowthCategory]
 
@@ -53,8 +53,8 @@ class SweepConfig:
         if not self.rule_numbers:
             raise GraError("empty sweep: no rule numbers")
         for n in self.rule_numbers:
-            if not 0 <= n < 65536:
-                raise GraError(f"rule number {n} outside [0, 65535]")
+            if not 0 <= n < RULE_SPACE:
+                raise GraError(f"rule number {n} outside [0, {RULE_SPACE - 1}]")
         if self.budget.max_steps <= 0 or self.budget.max_order <= 0:
             raise GraError("budgets must be positive")
 
@@ -71,8 +71,8 @@ class SweepConfig:
         payload = {
             "rules": sorted(self.rule_numbers),
             "initial_digest": graph_digest(self.initial_graph()),
-            "budget": self.budget.to_dict(),
-            "thresholds": self.thresholds.to_dict(),
+            "budget": as_record(self.budget),
+            "thresholds": as_record(self.thresholds),
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
@@ -82,9 +82,27 @@ class SweepConfig:
             "rule_count": len(self.rule_numbers),
             "initial": self.initial,
             "initial_digest": graph_digest(self.initial_graph()),
-            "budget": self.budget.to_dict(),
-            "thresholds": self.thresholds.to_dict(),
+            "budget": as_record(self.budget),
+            "thresholds": as_record(self.thresholds),
         }
+
+
+@dataclass
+class RuleRecord:
+    """One journal line: a rule's classification and how its run ended.
+
+    A run that raised keeps the defaults and records the exception in error.
+    """
+
+    rule: int
+    category: GrowthCategory = GrowthCategory.UNCLASSIFIED
+    cycle_period: Optional[int] = None
+    increment_period: Optional[int] = None
+    fit: Optional[GrowthFits] = None
+    final_order: Optional[int] = None
+    steps: Optional[int] = None
+    stop_reason: Optional[str] = None
+    error: Optional[str] = None
 
 
 @dataclass
@@ -153,17 +171,16 @@ class SweepReport:
 def _rule_record(rule_number: int, g0: Graph, budget: Budget, thresholds: ClassifyThresholds) -> dict:
     trace = evolve(g0, decode(rule_number), budget)
     cls = classify(trace, thresholds)
-    return {
-        "rule": rule_number,
-        "category": cls.category.value,
-        "cycle_period": cls.cycle_period,
-        "increment_period": cls.increment_period,
-        "fit": cls.fit.to_dict() if cls.fit is not None else None,
-        "final_order": trace.final_order,
-        "steps": trace.steps,
-        "stop_reason": trace.stop_reason,
-        "error": None,
-    }
+    return as_record(RuleRecord(
+        rule=rule_number,
+        category=cls.category,
+        cycle_period=cls.cycle_period,
+        increment_period=cls.increment_period,
+        fit=cls.fit,
+        final_order=trace.final_order,
+        steps=trace.steps,
+        stop_reason=trace.stop_reason,
+    ))
 
 
 def _worker(args) -> dict:
@@ -171,17 +188,7 @@ def _worker(args) -> dict:
     try:
         return _rule_record(rule_number, g0, budget, thresholds)
     except Exception as exc:  # recorded, never aborts the sweep
-        return {
-            "rule": rule_number,
-            "category": GrowthCategory.UNCLASSIFIED.value,
-            "cycle_period": None,
-            "increment_period": None,
-            "fit": None,
-            "final_order": None,
-            "steps": None,
-            "stop_reason": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return as_record(RuleRecord(rule=rule_number, error=f"{type(exc).__name__}: {exc}"))
 
 
 def _journal_line(obj) -> bytes:
@@ -289,34 +296,42 @@ def _parse_rules_field(value) -> list[int]:
     raise GraError(f"bad rules field: {value!r}")
 
 
+def _field_values(cls, doc: dict, section: str) -> dict:
+    """A copy of doc, refused when it names a key that is not a field of cls."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise GraError(f"unknown {section} key(s): {', '.join(unknown)}")
+    return dict(doc)
+
+
 def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig:
     """Build a SweepConfig from a parsed config document.
 
-    overrides (CLI flags) win over file values key by key."""
+    overrides (CLI flags) win over file values key by key.  Budget and
+    thresholds keys are the fields of Budget and ClassifyThresholds; any
+    other key there raises GraError."""
     doc = dict(doc)
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                if key in ("max_steps", "max_order", "wall_clock"):
-                    doc.setdefault("budget", {})
-                    doc["budget"] = dict(doc["budget"])
-                    doc["budget"][key] = value
-                else:
-                    doc[key] = value
-    budget_doc = doc.get("budget", {})
-    if "max_steps" not in budget_doc:
+    budget_keys = {f.name for f in fields(Budget)}
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            if key in budget_keys:
+                doc["budget"] = {**doc.get("budget", {}), key: value}
+            else:
+                doc[key] = value
+    budget = _field_values(Budget, doc.get("budget", {}), "budget")
+    if "max_steps" not in budget:
         raise GraError("config must set budget.max_steps")
-    budget = Budget(
-        max_steps=int(budget_doc["max_steps"]),
-        max_order=int(budget_doc.get("max_order", 5_000_000)),
-        wall_clock=budget_doc.get("wall_clock"),
-    )
-    thresholds = ClassifyThresholds.from_dict(doc.get("thresholds", {}))
+    for key in ("max_steps", "max_order"):
+        if key in budget:
+            budget[key] = int(budget[key])
+    thresholds = _field_values(ClassifyThresholds, doc.get("thresholds", {}), "thresholds")
+    if "quadratic_exponent_band" in thresholds:
+        thresholds["quadratic_exponent_band"] = tuple(thresholds["quadratic_exponent_band"])
     return SweepConfig(
         rule_numbers=_parse_rules_field(doc.get("rules", "single-division-subset")),
         initial=doc.get("initial", "paper-g0"),
-        budget=budget,
-        thresholds=thresholds,
+        budget=Budget(**budget),
+        thresholds=ClassifyThresholds(**thresholds),
         workers=int(doc.get("workers", 1)),
     )
 

@@ -137,7 +137,7 @@ def test_c6_invariant_suite():
                     out.graph.validate()
                 except Exception:
                     violations += 1
-                if out.order_increment != 2 * expected_div or out.graph.order < g.order:
+                if out.graph.order - g.order != 2 * expected_div or out.graph.order < g.order:
                     violations += 1
                 g = out.graph
                 if g.order > 3000 or steps_done >= 10_000:

@@ -17,6 +17,7 @@ from gra.analysis import (
 )
 from gra.engine import Budget, evolve
 from gra.errors import DegenerateWindowError
+from gra.export import as_record
 from gra.graph import build_graph
 from gra.rules import decode
 
@@ -28,7 +29,6 @@ def make_trace(orders, stop_reason="max-steps", cycle_period=None):
     orders = np.asarray(orders, dtype=np.int64)
     return EvolutionTrace(
         orders=orders,
-        increments=np.diff(orders),
         stop_reason=stop_reason,
         cycle_period=cycle_period,
     )
@@ -231,7 +231,7 @@ class TestClassify:
         a = classify(trace)
         b = classify(trace)
         assert a.category is b.category
-        assert a.to_dict() == b.to_dict()
+        assert as_record(a) == as_record(b)
 
     def test_thresholds_recorded(self):
         th = ClassifyThresholds(theta_linear=0.9)

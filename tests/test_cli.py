@@ -171,6 +171,36 @@ class TestSweepCommand:
         assert "different configuration" in err
         assert journal.read_bytes() == before
 
+    def test_verbose_rerun_counts_journaled_rules(self, tmp_path, capsys):
+        rules = [0, 256, 260, 300, 770, 2222, 2238, 4321]
+        config = self._config(tmp_path, rules)
+        out_dir = tmp_path / "o"
+        run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
+        journal = out_dir / "journal.jsonl"
+        journal.write_bytes(b"".join(journal.read_bytes().splitlines(keepends=True)[: 1 + 4]))
+        code, _, err = run(
+            ["sweep", "--config", str(config), "--out", str(out_dir), "--verbose"], capsys
+        )
+        assert code == 0
+        assert err.splitlines()[-1] == "  8/8 rules"
+
+    def test_unknown_budget_key_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rules": [0], "budget": {"max_steps": 5, "wall_clok": 1}}))
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err == "error: unknown budget key(s): wall_clok\n"
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
+    def test_unknown_thresholds_key_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"rules": [0], "budget": {"max_steps": 5}, "thresholds": {"theta": 0.9}})
+        )
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err == "error: unknown thresholds key(s): theta\n"
+
     def test_failed_rule_exits_internal(self, tmp_path, capsys, monkeypatch):
         import gra.sweep
         from gra.errors import EngineInvariantError
@@ -223,6 +253,13 @@ class TestIntervalsCommand:
         doc = json.loads(out)
         # increments from orders: 0,2,0,2 -> one run of length 1 ... twice
         assert doc == {"1": 2}
+
+    def test_short_row_is_a_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n0,4,0\n1\n")
+        code, _, err = run(["intervals", "--csv", str(csv)], capsys)
+        assert code == 1
+        assert err.startswith("error: line 3:")
 
     def test_json_output(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"

@@ -117,10 +117,8 @@ class TestStep:
         # divide, growing the order from 4 to 10
         out = step(k4_one_alive(), decode(765))
         assert out.divisions_performed == 3
-        assert out.order_increment == 6
         assert out.graph.order == 10
         assert out.graph.states[0] == 1
-        assert out.graph.time == 1
         out.graph.validate()
 
     def test_rule_zero_kills_everything(self):
@@ -142,7 +140,7 @@ class TestStep:
     def test_invariants_preserved(self, g, rule):
         out = step(g, rule)
         out.graph.validate()
-        assert out.order_increment == 2 * out.divisions_performed
+        assert out.graph.order - g.order == 2 * out.divisions_performed
         assert out.graph.order >= g.order
 
     @given(graphs(), rules)
@@ -170,7 +168,7 @@ BACKENDS = [
 def assert_divide_all_agrees(g, states, div):
     n_div = int(div.sum())
     ref_nb, ref_st = LOOP_BACKEND.divide_all(g.neighbors, states.copy(), div, n_div)
-    Graph._wrap(ref_nb, ref_st, g.time).validate()
+    Graph._wrap(ref_nb, ref_st).validate()
     for be in BACKENDS[1:]:
         nb, st_ = be.divide_all(g.neighbors, states.copy(), div, n_div)
         assert np.array_equal(nb, ref_nb), be.name

@@ -17,11 +17,7 @@ from gra.graph import k4_one_alive, parse_graph_text
 
 def make_trace(orders):
     orders = np.asarray(orders, dtype=np.int64)
-    return EvolutionTrace(
-        orders=orders,
-        increments=np.diff(orders),
-        stop_reason="max-steps",
-    )
+    return EvolutionTrace(orders=orders, stop_reason="max-steps")
 
 
 class TestDot:
@@ -81,9 +77,12 @@ class TestSeriesCsv:
 
     def test_round_trip(self):
         trace = make_trace([4, 6, 6, 12])
-        orders, increments = parse_series_csv(trace_to_csv(trace))
-        assert orders == [4, 6, 6, 12]
-        assert increments == [2, 0, 6]
+        assert parse_series_csv(trace_to_csv(trace)) == [4, 6, 6, 12]
+        assert trace.increments.tolist() == [2, 0, 6]
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            parse_series_csv("t,order,increment\n0,4,0\n1\n")
 
     def test_header_required(self):
         with pytest.raises(ValueError):

@@ -226,6 +226,12 @@ class TestConfigFiles:
         assert config.budget.max_steps == 80
         assert config.workers == 2
 
+    def test_thresholds_from_dict(self):
+        doc = {"budget": {"max_steps": 5}, "thresholds": {"quadratic_exponent_band": [1.5, 3]}}
+        config = config_from_dict(doc)
+        assert config.thresholds == ClassifyThresholds(quadratic_exponent_band=(1.5, 3))
+        assert config.budget == Budget(max_steps=5)
+
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
             config_from_dict({"rules": [0]})
