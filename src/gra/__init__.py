@@ -31,7 +31,6 @@ from .graph import (
     graph_digest,
     k4_one_alive,
     load_graph,
-    save_graph,
     state_fingerprint,
 )
 from .rules import Rule, complement_rule, decode, encode, single_division_subset
@@ -72,7 +71,6 @@ __all__ = [
     "reference_divide_dense",
     "reference_step_dense",
     "run_sweep",
-    "save_graph",
     "single_division_subset",
     "state_fingerprint",
     "step",

@@ -32,11 +32,6 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _simulate(args) -> int:
     rule = decode(parse_rule_number(args.rule))
     g0 = resolve_initial_graph(args.initial)
@@ -46,7 +41,7 @@ def _simulate(args) -> int:
     trace = evolve(g0, rule, budget)
     cls = classify(trace)
     if args.csv:
-        _write_text(args.csv, trace_to_csv(trace))
+        Path(args.csv).write_text(trace_to_csv(trace), encoding="utf-8")
     if args.trace_json:
         doc = {
             "rule": rule.number,
@@ -58,7 +53,7 @@ def _simulate(args) -> int:
             "cycle_period": trace.cycle_period,
             "classification": as_record(cls),
         }
-        _write_text(args.trace_json, dump_json(doc))
+        Path(args.trace_json).write_text(dump_json(doc), encoding="utf-8")
     if args.export:
         fmt = format_for_path(args.export, args.export_format)
         export_graph(trace.final_graph, fmt, args.export)
@@ -101,7 +96,7 @@ def _sweep(args) -> int:
             print(f"  {done['n']}/{total} rules", file=sys.stderr)
 
     report = run_sweep(config, journal, progress)
-    _write_text(report_path, report.to_json())
+    report_path.write_text(report.to_json(), encoding="utf-8")
     print(format_census_table(report))
     print(f"report: {report_path}")
     failed = [rec for rec in report.records if rec["error"] is not None]
@@ -137,19 +132,19 @@ def _classify(args) -> int:
         budget = Budget(max_steps=args.steps, max_order=args.max_order)
         trace = evolve(g0, rule, budget)
         cls = classify(trace)
-    text = dump_json(as_record(cls))
-    if args.json:
-        _write_text(args.json, text)
-    print(text, end="")
-    return EXIT_OK
+    return _print_json(as_record(cls), args.json)
 
 
 def _intervals(args) -> int:
     hist = zero_growth_intervals(_read_series(args.csv).increments)
-    doc = {str(k): v for k, v in sorted(hist.items())}
+    return _print_json({str(k): v for k, v in sorted(hist.items())}, args.json)
+
+
+def _print_json(doc, path) -> int:
+    """Print doc as JSON and, when path is set, write the same text there."""
     text = dump_json(doc)
-    if args.json:
-        _write_text(args.json, text)
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     print(text, end="")
     return EXIT_OK
 

@@ -61,23 +61,25 @@ class Budget:
 
 def step(g: Graph, rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph."""
-    be = _kernels.ACTIVE
-    new_states, div, n_div = be.step_tables(
+    new_states, div, n_div = _kernels.ACTIVE.step_tables(
         g.neighbors, g.states, rule.next_state, rule.divides
     )
     n_div = int(n_div)
     if n_div:
-        nb2, st2 = be.divide_all(g.neighbors, new_states, div, n_div)
+        out = _divide(g, new_states, div, n_div)
     else:
         # no topology change: share the immutable neighbor table
-        nb2, st2 = g.neighbors, new_states
-    out = Graph._wrap(nb2, st2)
-    inc = out.order - g.order
-    if inc != 2 * n_div:
-        raise EngineInvariantError(
-            f"order changed by {inc} for {n_div} divisions"
-        )
+        out = Graph._wrap(g.neighbors, new_states)
     return StepOutcome(graph=out, divisions_performed=n_div)
+
+
+def _divide(g: Graph, states: np.ndarray, d: np.ndarray, n_div: int) -> Graph:
+    """g with the n_div vertices flagged in d divided; clones inherit states."""
+    nb2, st2 = _kernels.ACTIVE.divide_all(g.neighbors, states, d, n_div)
+    out = Graph._wrap(nb2, st2)
+    if out.order != g.order + 2 * n_div:
+        raise EngineInvariantError(f"order changed by {out.order - g.order} for {n_div} divisions")
+    return out
 
 
 def divide_vertex(g: Graph, v: int) -> Graph:
@@ -111,11 +113,7 @@ def apply_divisions(g: Graph, d) -> Graph:
     n_div = int(d.sum())
     if n_div == 0:
         return g
-    nb2, st2 = _kernels.ACTIVE.divide_all(g.neighbors, g.states.copy(), d, n_div)
-    out = Graph._wrap(nb2, st2)
-    if out.order != g.order + 2 * n_div:
-        raise EngineInvariantError("division surgery produced a wrong order")
-    return out
+    return _divide(g, g.states.copy(), d, n_div)
 
 
 def _advance_states(g: Graph, rule: Rule, k: int) -> np.ndarray:
@@ -164,16 +162,13 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         t += 1
         orders.append(g.order)
 
-        if out.divisions_performed:
-            seen.clear()
-            pending = None
-        digest = state_fingerprint(g)
-
         if g.order > budget.max_order:
             stop = STOP_MAX_ORDER
             break
+        digest = state_fingerprint(g)
         if out.divisions_performed:
-            seen[digest] = t
+            seen = {digest: t}
+            pending = None
             continue
 
         if pending is not None:
@@ -194,8 +189,7 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         if digest not in seen:
             seen[digest] = t
         if len(seen) > CYCLE_WINDOW_CAP:
-            seen.clear()
-            seen[digest] = t
+            seen = {digest: t}
             pending = None
 
     return EvolutionTrace(

@@ -8,12 +8,11 @@ dead orange) so stock tools reproduce the two-color rendering directly.
 import enum
 import json
 from dataclasses import asdict
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .analysis import EvolutionTrace
 from .graph import Graph, graph_to_edge_text
-
-EXPORT_FORMATS = ("edge-list", "dot", "graphml")
 
 ALIVE_COLOR = "#9467bd"  # purple
 DEAD_COLOR = "#ff7f0e"  # orange
@@ -64,14 +63,14 @@ def graph_to_graphml(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RENDERERS = {"edge-list": graph_to_edge_text, "dot": graph_to_dot, "graphml": graph_to_graphml}
+EXPORT_FORMATS = tuple(_RENDERERS)
+
+
 def render_graph(g: Graph, fmt: str) -> str:
-    if fmt == "edge-list":
-        return graph_to_edge_text(g)
-    if fmt == "dot":
-        return graph_to_dot(g)
-    if fmt == "graphml":
-        return graph_to_graphml(g)
-    raise ValueError(f"unknown export format {fmt!r} (choose from {EXPORT_FORMATS})")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown export format {fmt!r} (choose from {EXPORT_FORMATS})")
+    return _RENDERERS[fmt](g)
 
 
 def format_for_path(path: str, explicit: str | None = None) -> str:
@@ -84,9 +83,7 @@ def format_for_path(path: str, explicit: str | None = None) -> str:
 
 
 def export_graph(g: Graph, fmt: str, path) -> None:
-    text = render_graph(g, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(path).write_text(render_graph(g, fmt), encoding="utf-8")
 
 
 def trace_to_csv(trace: EvolutionTrace) -> str:
@@ -112,10 +109,10 @@ def parse_series_csv(text: str) -> list[int]:
         raise ValueError("expected a header row: t,order,increment")
     orders: list[int] = []
     for lineno, ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected t,order,increment, got {ln!r}")
-        orders.append(int(parts[1]))
+        try:
+            orders.append(int(ln.split(",")[1]))
+        except (IndexError, ValueError):
+            raise ValueError(f"line {lineno}: expected t,order,increment, got {ln!r}") from None
     return orders
 
 

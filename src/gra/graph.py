@@ -9,6 +9,7 @@ once constructed; every operation returns a new value.
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -167,18 +168,19 @@ def state_fingerprint(g: Graph) -> str:
     topology is frozen, and candidate cycles are confirmed by exact state
     comparison anyway.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<q", g.order))
-    h.update(g.states.tobytes())
-    return h.hexdigest()
+    return _digest(g, g.states.tobytes())
 
 
 def graph_digest(g: Graph) -> str:
     """Hex digest covering adjacency and states; identifies a labeled graph."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<q", g.order))
-    h.update(np.ascontiguousarray(g.neighbors).tobytes())
-    h.update(g.states.tobytes())
+    return _digest(g, np.ascontiguousarray(g.neighbors).tobytes(), g.states.tobytes())
+
+
+def _digest(g: Graph, *parts: bytes) -> str:
+    """128-bit blake2b hex of g's order followed by parts."""
+    h = hashlib.blake2b(struct.pack("<q", g.order), digest_size=16)
+    for part in parts:
+        h.update(part)
     return h.hexdigest()
 
 
@@ -224,11 +226,6 @@ def load_graph(path) -> Graph:
         return parse_graph_text(fh.read())
 
 
-def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_edge_text(g))
-
-
 # --------------------------------------------------------------------------
 # built-in initial graphs
 # --------------------------------------------------------------------------
@@ -241,9 +238,7 @@ def k4_one_alive() -> Graph:
     return build_graph(_K4_EDGES, (1, 0, 0, 0))
 
 
-_g0_cache: Graph | None = None
-
-
+@cache
 def canonical_g0() -> Graph:
     """The frozen 16-vertex starting graph used by the shipped sweeps.
 
@@ -257,11 +252,8 @@ def canonical_g0() -> Graph:
     * exactly color symmetric: flipping every state and relabeling
       v -> (v + 8) mod 16 reproduces the same labeled graph.
     """
-    global _g0_cache
-    if _g0_cache is None:
-        text = resources.files("gra.data").joinpath("g0.graph").read_text("utf-8")
-        _g0_cache = parse_graph_text(text)
-    return _g0_cache
+    text = resources.files("gra.data").joinpath("g0.graph").read_text("utf-8")
+    return parse_graph_text(text)
 
 
 BUILTIN_GRAPHS = {

@@ -34,11 +34,17 @@ class Rule:
         return f"Rule({self.number}=0b{self.number:016b})"
 
 
+def check_rule_number(n: int) -> int:
+    """n itself; RuleNumberOutOfRangeError when it is outside the rule space."""
+    if not 0 <= n < RULE_SPACE:
+        raise RuleNumberOutOfRangeError(f"rule number {n} outside [0, {RULE_SPACE - 1}]")
+    return n
+
+
 @lru_cache(maxsize=None)
 def decode(n: int) -> Rule:
     """Decode a rule number into its two 8-entry tables."""
-    if not 0 <= n < RULE_SPACE:
-        raise RuleNumberOutOfRangeError(f"rule number {n} outside [0, 65535]")
+    check_rule_number(n)
     next_state = np.array([(n >> i) & 1 for i in range(8)], dtype=np.uint8)
     divides = np.array([(n >> (i + 8)) & 1 for i in range(8)], dtype=np.uint8)
     next_state.flags.writeable = False
@@ -78,6 +84,4 @@ def parse_rule_number(text: str) -> int:
         n = int(text, 0)
     except ValueError:
         raise RuleNumberOutOfRangeError(f"not a rule number: {text!r}")
-    if not 0 <= n < RULE_SPACE:
-        raise RuleNumberOutOfRangeError(f"rule number {n} outside [0, 65535]")
-    return n
+    return check_rule_number(n)

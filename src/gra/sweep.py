@@ -10,8 +10,10 @@ an uninterrupted run.
 """
 
 import hashlib
+import io
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -22,7 +24,7 @@ from .engine import Budget, evolve
 from .errors import ConfigMismatchError, GraError
 from .export import as_record, dump_json
 from .graph import Graph, graph_digest, resolve_initial_graph
-from .rules import RULE_SPACE, decode, parse_rule_number, single_division_subset
+from .rules import check_rule_number, decode, parse_rule_number, single_division_subset
 
 CATEGORY_ORDER = [c.value for c in GrowthCategory]
 
@@ -53,8 +55,10 @@ class SweepConfig:
         if not self.rule_numbers:
             raise GraError("empty sweep: no rule numbers")
         for n in self.rule_numbers:
-            if not 0 <= n < RULE_SPACE:
-                raise GraError(f"rule number {n} outside [0, {RULE_SPACE - 1}]")
+            check_rule_number(n)
+        repeated = sorted(n for n, k in Counter(self.rule_numbers).items() if k > 1)
+        if repeated:
+            raise GraError(f"rule number(s) listed twice: {', '.join(map(str, repeated))}")
         if self.budget.max_steps <= 0 or self.budget.max_order <= 0:
             raise GraError("budgets must be positive")
 
@@ -68,12 +72,9 @@ class SweepConfig:
         not change results, and reports have to be byte-identical across
         worker counts.
         """
-        payload = {
-            "rules": sorted(self.rule_numbers),
-            "initial_digest": graph_digest(self.initial_graph()),
-            "budget": as_record(self.budget),
-            "thresholds": as_record(self.thresholds),
-        }
+        echo = self.echo()
+        payload = {key: echo[key] for key in ("initial_digest", "budget", "thresholds")}
+        payload["rules"] = sorted(self.rule_numbers)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
@@ -131,26 +132,12 @@ class SweepReport:
     def baseline_diff(self) -> Optional[dict]:
         if not self.baseline_enabled():
             return None
-        cats = self.category_counts()
-        diff_c = {
-            name: {
-                "observed": cats.get(name, 0),
-                "reference": BASELINE_CATEGORY_COUNTS.get(name, 0),
-                "delta": cats.get(name, 0) - BASELINE_CATEGORY_COUNTS.get(name, 0),
-            }
-            for name in CATEGORY_ORDER
-        }
         periods = self.period_census()
-        keys = sorted(set(periods) | set(BASELINE_PERIOD_CENSUS))
-        diff_p = {
-            str(p): {
-                "observed": periods.get(p, 0),
-                "reference": BASELINE_PERIOD_CENSUS.get(p, 0),
-                "delta": periods.get(p, 0) - BASELINE_PERIOD_CENSUS.get(p, 0),
-            }
-            for p in keys
+        period_keys = sorted({*periods, *BASELINE_PERIOD_CENSUS})
+        return {
+            "categories": _diff(self.category_counts(), BASELINE_CATEGORY_COUNTS, CATEGORY_ORDER),
+            "periods": _diff(periods, BASELINE_PERIOD_CENSUS, period_keys),
         }
-        return {"categories": diff_c, "periods": diff_p}
 
     def to_document(self) -> dict:
         return {
@@ -166,6 +153,18 @@ class SweepReport:
 
     def to_json(self) -> str:
         return dump_json(self.to_document())
+
+
+def _diff(observed: dict, reference: dict, keys) -> dict:
+    """Observed, reference and delta count per key, keyed by str(key)."""
+    return {
+        str(k): {
+            "observed": observed.get(k, 0),
+            "reference": reference.get(k, 0),
+            "delta": observed.get(k, 0) - reference.get(k, 0),
+        }
+        for k in keys
+    }
 
 
 def _rule_record(rule_number: int, g0: Graph, budget: Budget, thresholds: ClassifyThresholds) -> dict:
@@ -195,31 +194,26 @@ def _journal_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 
-def _run_rules(config: SweepConfig, todo: list[int], journal_fh=None, progress=None) -> list[dict]:
-    """Evolve+classify the rules in todo (ascending); flush journal lines in
-    that order as soon as the next pending rule completes."""
+def _run_rules(config: SweepConfig, todo: list[int], journal_fh, progress=None) -> list[dict]:
+    """Evolve+classify the rules in todo (ascending).  Both map and the
+    pool's map yield in job order, so each journal line is written and
+    flushed as its result arrives."""
     g0 = config.initial_graph()
     jobs = [(n, g0, config.budget, config.thresholds) for n in todo]
-    results: dict[int, dict] = {}
-    flushed = 0
+    records = []
     with ExitStack() as stack:
         if config.workers <= 1:
             completed = map(_worker, jobs)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
-            completed = (
-                fut.result() for fut in as_completed([pool.submit(_worker, job) for job in jobs])
-            )
+            completed = pool.map(_worker, jobs)
         for rec in completed:
-            results[rec["rule"]] = rec
+            records.append(rec)
             if progress is not None:
                 progress(rec)
-            while flushed < len(todo) and todo[flushed] in results:
-                if journal_fh is not None:
-                    journal_fh.write(_journal_line(results[todo[flushed]]))
-                    journal_fh.flush()
-                flushed += 1
-    return [results[n] for n in todo]
+            journal_fh.write(_journal_line(rec))
+            journal_fh.flush()
+    return records
 
 
 def _parse_journal(data: bytes) -> tuple[Optional[str], list[dict], int]:
@@ -256,13 +250,13 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
     get appended (ascending rule order).  A journal from another config
     raises ConfigMismatchError and is left untouched: its fingerprint
     differs, its first line is not a header, or its records are not the
-    first rules of this sweep in ascending order.  progress is called once
-    per rule that runs, so never on a rerun of a finished sweep."""
+    first rules of this sweep in ascending order.  Without a journal_path
+    the same steps run against an in-memory journal.  progress is called
+    once per rule that runs, in ascending rule order, so never on a rerun
+    of a finished sweep."""
     todo = sorted(config.rule_numbers)
-    if journal_path is None:
-        return SweepReport(config=config, records=_run_rules(config, todo, None, progress))
     expected = config.fingerprint()
-    with open(journal_path, "a+b") as fh:
+    with (io.BytesIO() if journal_path is None else open(journal_path, "a+b")) as fh:
         fh.seek(0)
         fingerprint, done, size = _parse_journal(fh.read())
         if fingerprint not in (None, expected):
@@ -296,9 +290,9 @@ def _parse_rules_field(value) -> list[int]:
     raise GraError(f"bad rules field: {value!r}")
 
 
-def _field_values(cls, doc: dict, section: str) -> dict:
-    """A copy of doc, refused when it names a key that is not a field of cls."""
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+def _known_keys(doc: dict, known, section: str) -> dict:
+    """A copy of doc, refused when it names a key outside known."""
+    unknown = sorted(set(doc) - set(known))
     if unknown:
         raise GraError(f"unknown {section} key(s): {', '.join(unknown)}")
     return dict(doc)
@@ -307,9 +301,10 @@ def _field_values(cls, doc: dict, section: str) -> dict:
 def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig:
     """Build a SweepConfig from a parsed config document.
 
-    overrides (CLI flags) win over file values key by key.  Budget and
-    thresholds keys are the fields of Budget and ClassifyThresholds; any
-    other key there raises GraError."""
+    overrides (CLI flags) win over file values key by key.  The top-level
+    keys are rules, initial, budget, thresholds and workers; budget and
+    thresholds keys are the fields of Budget and ClassifyThresholds.  Any
+    other key raises GraError."""
     doc = dict(doc)
     budget_keys = {f.name for f in fields(Budget)}
     for key, value in (overrides or {}).items():
@@ -318,13 +313,15 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
                 doc["budget"] = {**doc.get("budget", {}), key: value}
             else:
                 doc[key] = value
-    budget = _field_values(Budget, doc.get("budget", {}), "budget")
+    _known_keys(doc, ("rules", "initial", "budget", "thresholds", "workers"), "config")
+    budget = _known_keys(doc.get("budget", {}), budget_keys, "budget")
     if "max_steps" not in budget:
         raise GraError("config must set budget.max_steps")
     for key in ("max_steps", "max_order"):
         if key in budget:
             budget[key] = int(budget[key])
-    thresholds = _field_values(ClassifyThresholds, doc.get("thresholds", {}), "thresholds")
+    threshold_keys = {f.name for f in fields(ClassifyThresholds)}
+    thresholds = _known_keys(doc.get("thresholds", {}), threshold_keys, "thresholds")
     if "quadratic_exponent_band" in thresholds:
         thresholds["quadratic_exponent_band"] = tuple(thresholds["quadratic_exponent_band"])
     return SweepConfig(
@@ -360,17 +357,16 @@ def format_census_table(report: SweepReport) -> str:
             lines.append(f"{name:<16}{counts[name]:>8}")
         lines.append(f"{'total':<16}{sum(counts.values()):>8}")
     else:
-        lines.append(f"{'category':<16}{'observed':>10}{'reference':>11}{'delta':>8}")
-        for name in CATEGORY_ORDER:
-            d = diff["categories"][name]
-            lines.append(
-                f"{name:<16}{d['observed']:>10}{d['reference']:>11}{d['delta']:>+8}"
-            )
+        lines += _diff_rows("category", diff["categories"])
         lines.append(f"{'total':<16}{sum(counts.values()):>10}{1024:>11}")
         lines.append("")
-        lines.append(f"{'cycle period':<16}{'observed':>10}{'reference':>11}{'delta':>8}")
-        for key, d in diff["periods"].items():
-            lines.append(
-                f"{key:<16}{d['observed']:>10}{d['reference']:>11}{d['delta']:>+8}"
-            )
+        lines += _diff_rows("cycle period", diff["periods"])
     return "\n".join(lines)
+
+
+def _diff_rows(title: str, table: dict) -> list[str]:
+    """A header plus one observed/reference/delta row per key of a _diff table."""
+    rows = [f"{title:<16}{'observed':>10}{'reference':>11}{'delta':>8}"]
+    for key, d in table.items():
+        rows.append(f"{key:<16}{d['observed']:>10}{d['reference']:>11}{d['delta']:>+8}")
+    return rows

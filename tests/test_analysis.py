@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gra import engine
 from gra.analysis import (
     ClassifyThresholds,
     EvolutionTrace,
@@ -73,6 +74,19 @@ class TestDetectCycle:
         assert trace.stop_reason == "cycle-found"
         assert trace.cycle_period == 6
         assert trace.steps == 2 + 2 * 6
+
+    def test_window_cap_restarts_search(self, monkeypatch):
+        # the same prism run; a window holding more than the cap restarts
+        g = build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 0))
+        monkeypatch.setattr(engine, "CYCLE_WINDOW_CAP", 3)
+        trace = evolve(g, decode(135), Budget(max_steps=100))
+        assert trace.stop_reason == "max-steps"
+        assert trace.cycle_period is None
+        monkeypatch.setattr(engine, "CYCLE_WINDOW_CAP", 6)
+        trace = evolve(g, decode(135), Budget(max_steps=100))
+        assert trace.stop_reason == "cycle-found"
+        assert trace.cycle_period == 6
+        assert trace.steps == 18
 
     def test_no_cycle(self):
         # the blinker repeats at t=2, but confirmation is due at t=4

@@ -201,6 +201,16 @@ class TestSweepCommand:
         assert code == 1
         assert err == "error: unknown thresholds key(s): theta\n"
 
+    def test_unknown_top_level_key_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"rules": [0, 256], "rule": [1], "worker": 4, "budget": {"max_steps": 5}})
+        )
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err == "error: unknown config key(s): rule, worker\n"
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
     def test_failed_rule_exits_internal(self, tmp_path, capsys, monkeypatch):
         import gra.sweep
         from gra.errors import EngineInvariantError

@@ -83,6 +83,8 @@ class TestSeriesCsv:
     def test_short_row_names_its_line(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_series_csv("t,order,increment\n0,4,0\n1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_series_csv("t,order,increment\n0,4,0\n1,x,2\n")
 
     def test_header_required(self):
         with pytest.raises(ValueError):

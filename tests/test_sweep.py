@@ -59,6 +59,10 @@ class TestRunSweep:
         with pytest.raises(GraError):
             small_config(rule_numbers=[])
 
+    def test_duplicate_rules_rejected(self):
+        with pytest.raises(GraError, match="listed twice: 0$"):
+            small_config(rule_numbers=[0, 0, 256])
+
     def test_matches_standalone_evolution(self):
         from gra.analysis import classify
         from gra.engine import evolve
@@ -89,6 +93,11 @@ class TestDeterminism:
         r2 = run_sweep(small_config(), journal_path=tmp_path / "b.jsonl")
         assert r1.to_json() == r2.to_json()
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_progress_sees_rules_in_ascending_order(self):
+        seen = []
+        run_sweep(small_config(workers=2), progress=lambda rec: seen.append(rec["rule"]))
+        assert seen == sorted(SMALL_RULES)
 
 
 class TestResume:
@@ -231,6 +240,17 @@ class TestConfigFiles:
         config = config_from_dict(doc)
         assert config.thresholds == ClassifyThresholds(quadratic_exponent_band=(1.5, 3))
         assert config.budget == Budget(max_steps=5)
+
+    def test_unknown_top_level_key_rejected(self):
+        doc = {"rules": [0, 256], "rule": [1], "worker": 4, "budget": {"max_steps": 5}}
+        with pytest.raises(GraError, match=r"unknown config key\(s\): rule, worker"):
+            config_from_dict(doc)
+        # the override keys the CLI and the benchmark pass stay accepted
+        del doc["rule"], doc["worker"]
+        overrides = {"rules": [5], "initial": "k4-one-alive", "workers": 2, "max_order": 99}
+        config = config_from_dict(doc, overrides)
+        assert (config.rule_numbers, config.initial, config.workers) == ([5], "k4-one-alive", 2)
+        assert config.budget == Budget(max_steps=5, max_order=99)
 
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
