@@ -20,11 +20,15 @@ kernels below are the per-step inner loops:
     done in O(order) regardless of how many vertices divide.
 
 Two backends implement the same arithmetic.  The numba backend compiles
-the explicit ``_loop_*`` kernels with @njit; the numpy backend expresses
-them with vectorized operations.  ``ACTIVE`` is chosen once at import:
-numba when it is importable, numpy otherwise.  The uncompiled loop
-kernels stay importable as the reference that differential tests run
-against both.
+the explicit ``_loop_*`` kernels with @njit.  The numpy backend sums the
+configurations in uint8 and divides in the index form of the paper's
+matrix procedure: every row is repeated ``1 + 2*div`` times (the
+duplication matrix), the back-slot of each divider's neighbours gets its
+clone offset, and each clone row puts its inherited target t first when
+t < p, the first clone's index, and last otherwise.  ``ACTIVE`` is chosen
+once at import: numba when it is importable, numpy otherwise.  The
+uncompiled loop kernels stay importable as the reference that
+differential tests run against both.
 """
 
 from typing import Callable, NamedTuple
@@ -44,45 +48,40 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # --------------------------------------------------------------------------
 
 def _np_step_tables(neighbors, states, next_table, div_table):
-    s = states.astype(np.int64)
-    conf = 4 * s + s[neighbors].sum(axis=1)
-    new_states = next_table[conf]
+    conf = 4 * states + states[neighbors[:, 0]]  # at most 7, so uint8 holds it
+    conf += states[neighbors[:, 1]]
+    conf += states[neighbors[:, 2]]
     div = div_table[conf]
-    return new_states, div, int(div.sum())
+    return next_table[conf], div, int(np.count_nonzero(div))
 
 
 def _np_divide_all(neighbors, states, div, n_div):
-    o = states.shape[0]
-    div64 = div.astype(np.int64)
-    # dividers strictly below v shift it up by 2 each
-    newpos = np.arange(o, dtype=np.int64) + 2 * (np.cumsum(div64) - div64)
-    o2 = o + 2 * n_div
-
-    # a slot of v pointing at a divider u attaches to the clone of u whose
-    # offset is v's position inside u's sorted row
+    reps = 1 + 2 * div
+    newpos = np.cumsum(reps, dtype=np.int64) - reps
     target = newpos[neighbors]
-    vs, slots = np.nonzero(div[neighbors])
-    target[vs, slots] += np.argmax(neighbors[neighbors[vs, slots]] == vs[:, None], axis=1)
 
-    new_neighbors = np.empty((o2, 3), dtype=np.int64)
-    new_states = np.empty(o2, dtype=np.uint8)
+    # the slot of v pointing at a divider u moves to u's clone k, where k is
+    # v's rank in u's row; each slot points at one vertex, so none is hit twice
+    u = np.flatnonzero(div)
+    v = neighbors[u]
+    back = (neighbors[v, 1] == u[:, None]) + 2 * (neighbors[v, 2] == u[:, None])
+    target[v, back] += np.arange(3)
 
-    keep = div == 0
-    # relabeling is strictly increasing and a clone offset (+0..+2) stays
-    # below the next vertex's new index, so these rows are already ascending
-    new_neighbors[newpos[keep]] = target[keep]
-    new_states[newpos] = states
+    # the relabeling is increasing and a clone offset stays below the next
+    # vertex's index, so every duplicated row is already ascending
+    new_neighbors = np.repeat(target, reps, axis=0)
+    new_states = np.repeat(states, reps)
 
-    div_idx = np.flatnonzero(~keep)
-    p = newpos[div_idx]
-    partners = ((1, 2), (0, 2), (0, 1))
-    for k in range(3):
-        a, b = partners[k]
-        rows = np.stack((p + a, p + b, target[div_idx, k]), axis=1)
-        rows.sort(axis=1)
-        new_neighbors[p + k] = rows
-    new_states[p + 1] = states[div_idx]
-    new_states[p + 2] = states[div_idx]
+    # clone k of u at p + k: the triangle partners a < b plus its inherited
+    # target t, which lies outside [p, p + 2]
+    p = newpos[u][:, None]
+    t = target[u]
+    a, b = p + np.array([1, 0, 0]), p + np.array([2, 2, 1])
+    low = t < p
+    clones = (p + np.arange(3)).ravel()
+    new_neighbors[clones, 0] = np.where(low, t, a).ravel()
+    new_neighbors[clones, 1] = np.where(low, a, b).ravel()
+    new_neighbors[clones, 2] = np.where(low, b, t).ravel()
     return new_neighbors, new_states
 
 

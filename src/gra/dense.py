@@ -26,12 +26,13 @@ def dense_from_graph(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 def graph_from_dense(adjacency: np.ndarray, states: np.ndarray) -> Graph:
     o = adjacency.shape[0]
-    neighbors = np.empty((o, 3), dtype=np.int64)
-    for v in range(o):
-        nz = np.flatnonzero(adjacency[v])
-        if len(nz) != 3:
-            raise LengthMismatchError(f"dense row {v} has degree {len(nz)}")
-        neighbors[v] = nz  # flatnonzero is ascending
+    rows, cols = np.nonzero(adjacency)  # row-major, so each row's columns ascend
+    degree = np.bincount(rows, minlength=o)
+    bad = np.flatnonzero(degree != 3)
+    if bad.size:
+        v = int(bad[0])
+        raise LengthMismatchError(f"dense row {v} has degree {int(degree[v])}")
+    neighbors = cols.astype(np.int64, copy=False).reshape(o, 3)
     return Graph._wrap(neighbors, states.astype(np.uint8))
 
 

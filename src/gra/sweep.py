@@ -12,6 +12,7 @@ an uninterrupted run.
 import hashlib
 import io
 import json
+import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -279,14 +280,22 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
 # config files and shipped presets
 # --------------------------------------------------------------------------
 
+def _integer(value, key: str) -> int:
+    """value as an int when it is an integer; GraError naming key when it is
+    anything else, a float or a bool included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise GraError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_rules_field(value) -> list[int]:
     if value == "single-division-subset":
         return single_division_subset()
     if isinstance(value, list):
-        out = []
-        for item in value:
-            out.append(parse_rule_number(item) if isinstance(item, str) else int(item))
-        return out
+        return [
+            parse_rule_number(item) if isinstance(item, str) else _integer(item, "rules entry")
+            for item in value
+        ]
     raise GraError(f"bad rules field: {value!r}")
 
 
@@ -319,7 +328,7 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
         raise GraError("config must set budget.max_steps")
     for key in ("max_steps", "max_order"):
         if key in budget:
-            budget[key] = int(budget[key])
+            budget[key] = _integer(budget[key], f"budget.{key}")
     threshold_keys = {f.name for f in fields(ClassifyThresholds)}
     thresholds = _known_keys(doc.get("thresholds", {}), threshold_keys, "thresholds")
     if "quadratic_exponent_band" in thresholds:
@@ -329,7 +338,7 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
         initial=doc.get("initial", "paper-g0"),
         budget=Budget(**budget),
         thresholds=ClassifyThresholds(**thresholds),
-        workers=int(doc.get("workers", 1)),
+        workers=_integer(doc.get("workers", 1), "workers"),
     )
 
 

@@ -10,17 +10,31 @@ import pytest
 from hypothesis import given, settings
 
 from gra.dense import (
+    graph_from_dense,
     reference_apply_divisions_dense,
     reference_divide_dense,
     reference_step_dense,
 )
 from gra.engine import apply_divisions, divide_vertex, step
-from gra.errors import OracleCapExceededError
+from gra.errors import LengthMismatchError, OracleCapExceededError
 from gra.generate import ring_chord_graph
 from gra.graph import k4_one_alive
 from gra.rules import decode
 
 from helpers import graphs, rules
+
+
+class TestGraphFromDense:
+    def test_names_first_row_of_wrong_degree(self):
+        g = k4_one_alive()
+        a = g.adjacency_matrix()
+        a[1, 2] = a[2, 1] = 0
+        with pytest.raises(LengthMismatchError, match=r"^dense row 1 has degree 2$"):
+            graph_from_dense(a, g.states)
+        b = divide_vertex(g, 1).adjacency_matrix()
+        b[2, 5] = b[5, 2] = 1
+        with pytest.raises(LengthMismatchError, match=r"^dense row 2 has degree 4$"):
+            graph_from_dense(b, np.zeros(6, dtype=np.uint8))
 
 
 class TestDenseDivide:

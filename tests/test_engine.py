@@ -209,6 +209,29 @@ class TestBackendEquivalence:
     def test_divide_all_agrees_when_every_vertex_divides(self, g):
         assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
 
+    def test_kernels_agree_at_realistic_order(self):
+        # rule 1026 from paper-g0 gives a graph far past the hypothesis orders
+        rule = decode(1026)
+        g = canonical_g0()
+        while g.order < 10_000:
+            g = step(g, rule).graph
+        ref = LOOP_BACKEND.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        for be in BACKENDS[1:]:
+            out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+            assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype, be.name
+            assert np.array_equal(out[1], ref[1]) and out[1].dtype == ref[1].dtype, be.name
+            # run uncompiled, the loop kernel's count is a uint8 that wraps at 256
+            assert int(out[2]) == np.count_nonzero(ref[1]), be.name
+        assert_divide_all_agrees(g, ref[0], ref[1])
+        # a mutual pair: u's highest neighbour w divides too
+        u = g.order // 2
+        pair = np.zeros(g.order, dtype=np.uint8)
+        pair[[u, g.neighbors[u, 2]]] = 1
+        assert_divide_all_agrees(g, g.states, pair)
+        rng = np.random.default_rng(1026)
+        assert_divide_all_agrees(g, g.states, (rng.random(g.order) < 0.19).astype(np.uint8))
+        assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
+
 
 class TestEvolve:
     def test_rule_zero_halts_at_period_one(self):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 from gra.analysis import ClassifyThresholds
@@ -251,6 +254,26 @@ class TestConfigFiles:
         config = config_from_dict(doc, overrides)
         assert (config.rule_numbers, config.initial, config.workers) == ([5], "k4-one-alive", 2)
         assert config.budget == Budget(max_steps=5, max_order=99)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rules": [1.9, "7"], "budget": {"max_steps": 5}}', "rules"),
+            ('{"rules": [true], "budget": {"max_steps": 5}}', "rules"),
+            ('{"rules": [0], "budget": {"max_steps": 5.7}}', "budget.max_steps"),
+            ('{"rules": [0], "budget": {"max_steps": true}}', "budget.max_steps"),
+            ('{"rules": [0], "budget": {"max_steps": 5, "max_order": 5.7}}', "budget.max_order"),
+            ('{"rules": [0], "budget": {"max_steps": 5}, "workers": true}', "workers"),
+            ('{"rules": [0], "budget": {"max_steps": 5}, "workers": 1.9}', "workers"),
+        ],
+        ids=[
+            "rule-float", "rule-bool", "max_steps-float", "max_steps-bool",
+            "max_order-float", "workers-bool", "workers-float",
+        ],
+    )
+    def test_non_integer_number_refused(self, text, key):
+        with pytest.raises(GraError, match=rf"^{re.escape(key)}\b.*must be an integer"):
+            config_from_dict(json.loads(text))
 
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
