@@ -1,8 +1,14 @@
 """Hot numeric kernels over the flat 3-neighbor representation.
 
-A graph is held as ``neighbors`` (shape ``(order, 3)`` int64, every row
-sorted ascending) plus ``states`` (shape ``(order,)`` uint8).  The two
-kernels below are the per-step inner loops:
+A graph is held as ``neighbors`` (shape ``(order, 3)`` int64) plus
+``states`` (shape ``(order,)`` uint8).  The engine evolves these tables
+under stable vertex ids: a vertex keeps its id for life, and the canonical
+labels of a :class:`gra.graph.Graph` are rebuilt from a split log only
+when a graph is read (see :mod:`gra.engine`).  Every row lists its
+neighbors in canonical order, and ``rank`` (shape ``(order,)`` uint8)
+holds each vertex's self-rank r(v), the number of its neighbors that sit
+below it in that order.  The two kernels below are the per-step inner
+loops:
 
 ``step_tables``
     compute each vertex's configuration (4*state + number of alive
@@ -10,25 +16,25 @@ kernels below are the per-step inner loops:
     tables, and count divisions.
 
 ``divide_all``
-    perform every flagged division in one batch.  A dividing vertex v is
-    replaced by three clones on consecutive indices; the clones form a
-    triangle and inherit v's former neighbors one each, ascending former
-    neighbor index to ascending clone index.  Vertices above v shift up
-    by two.  Processing the flags lowest-index-first with in-place
-    shifting is equivalent to a single relabeling pass: the final index
-    of old vertex v is v + 2*(dividers below v), so the whole surgery is
-    done in O(order) regardless of how many vertices divide.
+    perform every flagged division in one batch, in O(order) for one copy
+    of the tables plus O(dividers) patches.  Divider v is replaced by a
+    triangle of clones: clone 0 keeps the id v, clones 1 and 2 are
+    appended as o + 2i and o + 2i + 1 (o the order, i the rank of v among
+    the dividers).  Clone k inherits v's k-th neighbor t, and the slot
+    of t that pointed at v is renamed to clone k; a neighbor that divides
+    too hands over its own clone at that slot.  The three clones take
+    v's place in the canonical order, so no other row changes order and
+    no other self-rank changes.  t sits below the block exactly when
+    k < r(v), so clone k's row is [t, a, b] then, and [a, b, t]
+    otherwise (a < b its two partners), and its self-rank becomes
+    (k < r(v)) + k.
 
-Two backends implement the same arithmetic.  The numba backend compiles
-the explicit ``_loop_*`` kernels with @njit.  The numpy backend sums the
-configurations in uint8 and divides in the index form of the paper's
-matrix procedure: every row is repeated ``1 + 2*div`` times (the
-duplication matrix), the back-slot of each divider's neighbours gets its
-clone offset, and each clone row puts its inherited target t first when
-t < p, the first clone's index, and last otherwise.  ``ACTIVE`` is chosen
-once at import: numba when it is importable, numpy otherwise.  The
-uncompiled loop kernels stay importable as the reference that
-differential tests run against both.
+``step_tables`` has two implementations of the same arithmetic: the numpy
+one sums the configurations in uint8, and the explicit loop is compiled by
+numba when numba is importable.  ``ACTIVE`` is chosen once at import:
+numba's ``step_tables`` when it is importable, numpy's otherwise.  There
+is one ``divide_all``, in numpy.  The uncompiled loop stays importable as
+the reference that differential tests run against.
 """
 
 from typing import Callable, NamedTuple
@@ -43,10 +49,6 @@ except ImportError:  # pragma: no cover - exercised only without numba
     HAS_NUMBA = False
 
 
-# --------------------------------------------------------------------------
-# numpy backend
-# --------------------------------------------------------------------------
-
 def _np_step_tables(neighbors, states, next_table, div_table):
     conf = 4 * states + states[neighbors[:, 0]]  # at most 7, so uint8 holds it
     conf += states[neighbors[:, 1]]
@@ -54,40 +56,6 @@ def _np_step_tables(neighbors, states, next_table, div_table):
     div = div_table[conf]
     return next_table[conf], div, int(np.count_nonzero(div))
 
-
-def _np_divide_all(neighbors, states, div, n_div):
-    reps = 1 + 2 * div
-    newpos = np.cumsum(reps, dtype=np.int64) - reps
-    target = newpos[neighbors]
-
-    # the slot of v pointing at a divider u moves to u's clone k, where k is
-    # v's rank in u's row; each slot points at one vertex, so none is hit twice
-    u = np.flatnonzero(div)
-    v = neighbors[u]
-    back = (neighbors[v, 1] == u[:, None]) + 2 * (neighbors[v, 2] == u[:, None])
-    target[v, back] += np.arange(3)
-
-    # the relabeling is increasing and a clone offset stays below the next
-    # vertex's index, so every duplicated row is already ascending
-    new_neighbors = np.repeat(target, reps, axis=0)
-    new_states = np.repeat(states, reps)
-
-    # clone k of u at p + k: the triangle partners a < b plus its inherited
-    # target t, which lies outside [p, p + 2]
-    p = newpos[u][:, None]
-    t = target[u]
-    a, b = p + np.array([1, 0, 0]), p + np.array([2, 2, 1])
-    low = t < p
-    clones = (p + np.arange(3)).ravel()
-    new_neighbors[clones, 0] = np.where(low, t, a).ravel()
-    new_neighbors[clones, 1] = np.where(low, a, b).ravel()
-    new_neighbors[clones, 2] = np.where(low, b, t).ravel()
-    return new_neighbors, new_states
-
-
-# --------------------------------------------------------------------------
-# loop implementations (compiled by numba when available)
-# --------------------------------------------------------------------------
 
 def _loop_step_tables(neighbors, states, next_table, div_table):
     o = states.shape[0]
@@ -104,72 +72,59 @@ def _loop_step_tables(neighbors, states, next_table, div_table):
         new_states[v] = next_table[c]
         d = div_table[c]
         div[v] = d
-        n_div += d
+        n_div += int(d)
     return new_states, div, n_div
 
 
-def _loop_divide_all(neighbors, states, div, n_div):
+# clone k's two triangle partners a < b, as clone indices
+_A = np.array([1, 0, 0])
+_B = np.array([2, 2, 1])
+_CLONE = np.arange(3, dtype=np.uint8)
+
+
+def _np_divide_all(neighbors, states, div, n_div, *, rank):
+    """Tables after dividing every flagged vertex, in stable ids.
+
+    Returns (neighbors, states, rank, dividers): the first three grown by
+    2 * n_div rows, and dividers the ascending ids that divided.
+    """
     o = states.shape[0]
-    newpos = np.empty(o, np.int64)
-    shift = 0
-    for v in range(o):
-        newpos[v] = v + shift
-        if div[v] != 0:
-            shift += 2
-    o2 = o + shift
-    new_neighbors = np.empty((o2, 3), np.int64)
-    new_states = np.empty(o2, np.uint8)
-    for v in range(o):
-        p = newpos[v]
-        if div[v] != 0:
-            for k in range(3):
-                u = neighbors[v, k]
-                t = newpos[u]
-                if div[u] != 0:
-                    # clone slot of the mutual edge on u's side
-                    if neighbors[u, 1] == v:
-                        t += 1
-                    elif neighbors[u, 2] == v:
-                        t += 2
-                # clone k: two triangle partners plus the inherited edge
-                if k == 0:
-                    x = p + 1
-                    y = p + 2
-                elif k == 1:
-                    x = p + 0
-                    y = p + 2
-                else:
-                    x = p + 0
-                    y = p + 1
-                if t < x:
-                    new_neighbors[p + k, 0] = t
-                    new_neighbors[p + k, 1] = x
-                    new_neighbors[p + k, 2] = y
-                elif t < y:
-                    new_neighbors[p + k, 0] = x
-                    new_neighbors[p + k, 1] = t
-                    new_neighbors[p + k, 2] = y
-                else:
-                    new_neighbors[p + k, 0] = x
-                    new_neighbors[p + k, 1] = y
-                    new_neighbors[p + k, 2] = t
-            new_states[p] = states[v]
-            new_states[p + 1] = states[v]
-            new_states[p + 2] = states[v]
-        else:
-            # ascending original neighbors map to ascending targets, so
-            # the row stays sorted without an explicit sort
-            for k in range(3):
-                u = neighbors[v, k]
-                t = newpos[u]
-                if div[u] != 0:
-                    if neighbors[u, 1] == v:
-                        t += 1
-                    elif neighbors[u, 2] == v:
-                        t += 2
-                new_neighbors[p, k] = t
-            new_states[p] = states[v]
-    return new_neighbors, new_states
+    u = np.flatnonzero(div)
+    n = u.shape[0]
+    m = o + 2 * n
+    new_neighbors = np.empty((m, 3), np.int64)
+    new_neighbors[:o] = neighbors
+    flat = new_neighbors.reshape(-1)
+    clones = np.empty((n, 3), np.int64)
+    clones[:, 0] = u
+    clones[:, 1:] = np.arange(o, m).reshape(n, 2)
+
+    # the slot of w pointing at u goes to u's clone k, where w is u's k-th
+    # neighbor; each slot points at one vertex, so none is written twice
+    at = 3 * neighbors[u]
+    old = neighbors.reshape(-1)
+    u_col = u[:, None]
+    at += (old[at + 1] == u_col) + 2 * (old[at + 2] == u_col)
+    flat[at] = clones
+    t = new_neighbors[u]
+
+    # clone k's row is [t, a, b] when t sits below the block (k < r(u)),
+    # and [a, b, t] otherwise
+    low = _CLONE < rank[u][:, None]
+    at = 3 * clones + low  # a's slot in the clone's row
+    flat[at] = clones[:, _A]
+    at += 1  # b's
+    flat[at] = clones[:, _B]
+    at += 1 - 3 * low  # t's: 0 when low, 2 otherwise
+    flat[at] = t
+
+    new_states = np.empty(m, np.uint8)
+    new_states[:o] = states
+    new_states[clones] = states[u][:, None]
+    new_rank = np.empty(m, np.uint8)
+    new_rank[:o] = rank
+    new_rank[clones] = low + _CLONE
+    return new_neighbors, new_states, new_rank, u
 
 
 class Backend(NamedTuple):
@@ -181,9 +136,7 @@ class Backend(NamedTuple):
 NUMPY_BACKEND = Backend("numpy", _np_step_tables, _np_divide_all)
 
 if HAS_NUMBA:
-    NUMBA_BACKEND = Backend(
-        "numba", njit(cache=True)(_loop_step_tables), njit(cache=True)(_loop_divide_all)
-    )
+    NUMBA_BACKEND = Backend("numba", njit(cache=True)(_loop_step_tables), _np_divide_all)
     ACTIVE = NUMBA_BACKEND
 else:
     NUMBA_BACKEND = None

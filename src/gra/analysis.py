@@ -3,7 +3,8 @@
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,13 +23,21 @@ class EvolutionTrace:
 
     orders has length steps+1 (orders[t] is the order at time t).
     cycle_period is set only when evolve confirmed an exact state cycle
-    (stop_reason "cycle-found"); final_graph is absent for recorded series.
+    (stop_reason "cycle-found").  build_final_graph makes the last graph,
+    under canonical labels; it runs on the first read of final_graph,
+    which is None for recorded series.
     """
 
     orders: np.ndarray
     stop_reason: str
     cycle_period: Optional[int] = None
-    final_graph: Optional[Graph] = None
+    build_final_graph: Optional[Callable[[], Graph]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def final_graph(self) -> Optional[Graph]:
+        return None if self.build_final_graph is None else self.build_final_graph()
 
     @property
     def increments(self) -> np.ndarray:

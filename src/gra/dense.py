@@ -5,7 +5,7 @@ configuration vector is 4*S + A.S, states and division flags come from the
 rule tables, and each division physically triples one row and column of
 the adjacency matrix.  It is deliberately independent of the flat-table
 engine (different data structure, different algorithm, one division at a
-time instead of a batch relabeling) and is only meant for modest orders.
+time instead of a batch over stable ids) and is only meant for modest orders.
 """
 
 from typing import Optional

@@ -3,7 +3,10 @@
 The engine representation is a flat neighbor table: row v of ``neighbors``
 lists v's three neighbors in ascending order.  A per-vertex ``states``
 vector holds the binary value (1 alive, 0 dead).  Graphs are immutable
-once constructed; every operation returns a new value.
+once constructed; every operation returns a new value.  The labels of an
+evolved graph are the canonical ones, in which each division shifts the
+vertices above the divider up by two; while it evolves, the engine holds
+a graph in stable ids instead (:class:`gra.engine.StableGraph`).
 """
 
 import hashlib
@@ -34,6 +37,9 @@ class Graph:
     Fields:
         neighbors: (order, 3) int64 array, each row sorted ascending.
         states:    (order,) uint8 array of 0/1 values.
+
+    Equality compares labels, so two graphs are equal only when they are
+    the same labelled graph.
     """
 
     neighbors: np.ndarray

@@ -69,3 +69,70 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def random_states(order, rng):
     return (rng.random(order) < 0.5).astype(np.uint8)
+
+
+# The relabelling division kernel, kept as the reference for canonical
+# labels: the final index of old vertex v is v + 2*(dividers below v), and
+# a divider's clones sit on three consecutive indices.
+def reference_divide_all(neighbors, states, div, n_div):
+    o = states.shape[0]
+    newpos = np.empty(o, np.int64)
+    shift = 0
+    for v in range(o):
+        newpos[v] = v + shift
+        if div[v] != 0:
+            shift += 2
+    o2 = o + shift
+    new_neighbors = np.empty((o2, 3), np.int64)
+    new_states = np.empty(o2, np.uint8)
+    for v in range(o):
+        p = newpos[v]
+        if div[v] != 0:
+            for k in range(3):
+                u = neighbors[v, k]
+                t = newpos[u]
+                if div[u] != 0:
+                    # clone slot of the mutual edge on u's side
+                    if neighbors[u, 1] == v:
+                        t += 1
+                    elif neighbors[u, 2] == v:
+                        t += 2
+                # clone k: two triangle partners plus the inherited edge
+                if k == 0:
+                    x = p + 1
+                    y = p + 2
+                elif k == 1:
+                    x = p + 0
+                    y = p + 2
+                else:
+                    x = p + 0
+                    y = p + 1
+                if t < x:
+                    new_neighbors[p + k, 0] = t
+                    new_neighbors[p + k, 1] = x
+                    new_neighbors[p + k, 2] = y
+                elif t < y:
+                    new_neighbors[p + k, 0] = x
+                    new_neighbors[p + k, 1] = t
+                    new_neighbors[p + k, 2] = y
+                else:
+                    new_neighbors[p + k, 0] = x
+                    new_neighbors[p + k, 1] = y
+                    new_neighbors[p + k, 2] = t
+            new_states[p] = states[v]
+            new_states[p + 1] = states[v]
+            new_states[p + 2] = states[v]
+        else:
+            # ascending original neighbors map to ascending targets, so
+            # the row stays sorted without an explicit sort
+            for k in range(3):
+                u = neighbors[v, k]
+                t = newpos[u]
+                if div[u] != 0:
+                    if neighbors[u, 1] == v:
+                        t += 1
+                    elif neighbors[u, 2] == v:
+                        t += 2
+                new_neighbors[p, k] = t
+            new_states[p] = states[v]
+    return new_neighbors, new_states

@@ -5,9 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gra import _kernels
-from gra.engine import Budget, apply_divisions, divide_vertex, evolve, step
-from gra.errors import IndexOutOfRangeError, LengthMismatchError, NonBinaryStateError
+from gra import _kernels, engine
+from gra.analysis import ClassifyThresholds
+from gra.engine import (
+    Budget,
+    SplitLog,
+    StableGraph,
+    apply_divisions,
+    canonical_positions,
+    canonicalise,
+    divide_vertex,
+    evolve,
+    self_rank,
+    step,
+)
+from gra.errors import (
+    EngineInvariantError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    NonBinaryStateError,
+)
 from gra.graph import (
     Graph,
     build_graph,
@@ -17,8 +34,9 @@ from gra.graph import (
     k4_one_alive,
 )
 from gra.rules import complement_rule, decode
+from gra.sweep import SweepConfig, run_sweep
 
-from helpers import graphs, isomorphic, rules
+from helpers import graphs, isomorphic, reference_divide_all, rules
 
 # golden 6x6 result of dividing vertex 1 of the one-alive K4
 DIVIDED_K4_ADJACENCY = np.array(
@@ -158,21 +176,29 @@ class TestStep:
         assert lhs == rhs
 
 
-# the uncompiled loop kernels are the reference; numba compiles the same code
-LOOP_BACKEND = _kernels.Backend("loop", _kernels._loop_step_tables, _kernels._loop_divide_all)
+# step_tables: the uncompiled loop is the reference, numba compiles the same code
 BACKENDS = [
-    b for b in (LOOP_BACKEND, _kernels.NUMPY_BACKEND, _kernels.NUMBA_BACKEND) if b is not None
+    b for b in (_kernels.NUMPY_BACKEND, _kernels.NUMBA_BACKEND) if b is not None
 ]
 
 
 def assert_divide_all_agrees(g, states, div):
+    """The kernel's output, canonicalised, equals the relabelling reference."""
     n_div = int(div.sum())
-    ref_nb, ref_st = LOOP_BACKEND.divide_all(g.neighbors, states.copy(), div, n_div)
+    ref_nb, ref_st = reference_divide_all(g.neighbors, states.copy(), div, n_div)
     Graph._wrap(ref_nb, ref_st).validate()
-    for be in BACKENDS[1:]:
-        nb, st_ = be.divide_all(g.neighbors, states.copy(), div, n_div)
-        assert np.array_equal(nb, ref_nb), be.name
-        assert np.array_equal(st_, ref_st), be.name
+    nb, st_, rank, dividers = _kernels.ACTIVE.divide_all(
+        g.neighbors, states.copy(), div, n_div, rank=self_rank(g.neighbors)
+    )
+    assert np.array_equal(dividers, np.flatnonzero(div))
+    log = SplitLog()
+    log.append(g.order, dividers)
+    out = canonicalise(StableGraph(nb, st_, rank, dividers), log)
+    assert np.array_equal(out.neighbors, ref_nb) and out.neighbors.dtype == ref_nb.dtype
+    assert np.array_equal(out.states, ref_st) and out.states.dtype == ref_st.dtype
+    # the returned self-ranks are those of the canonical graph
+    pos = canonical_positions(log, out.order)
+    assert np.array_equal(rank, self_rank(ref_nb)[pos]) and rank.dtype == np.uint8
 
 
 class TestBackendEquivalence:
@@ -181,8 +207,8 @@ class TestBackendEquivalence:
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_step_tables_agree(self, g, rule):
-        ref = LOOP_BACKEND.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
-        for be in BACKENDS[1:]:
+        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        for be in BACKENDS:
             out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
             assert np.array_equal(out[0], ref[0]), be.name
             assert np.array_equal(out[1], ref[1]), be.name
@@ -215,13 +241,12 @@ class TestBackendEquivalence:
         g = canonical_g0()
         while g.order < 10_000:
             g = step(g, rule).graph
-        ref = LOOP_BACKEND.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
-        for be in BACKENDS[1:]:
+        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        for be in BACKENDS:
             out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
             assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype, be.name
             assert np.array_equal(out[1], ref[1]) and out[1].dtype == ref[1].dtype, be.name
-            # run uncompiled, the loop kernel's count is a uint8 that wraps at 256
-            assert int(out[2]) == np.count_nonzero(ref[1]), be.name
+            assert int(out[2]) == int(ref[2]), be.name
         assert_divide_all_agrees(g, ref[0], ref[1])
         # a mutual pair: u's highest neighbour w divides too
         u = g.order // 2
@@ -286,3 +311,96 @@ class TestEvolve:
     def test_final_graph_matches_orders(self):
         trace = evolve(canonical_g0(), decode(300), Budget(max_steps=25))
         assert trace.final_graph.order == trace.final_order
+
+
+# rules that divide in every configuration: vertices split again and again,
+# and neighbours divide together
+all_divide_rules = st.integers(0xFF00, 0xFFFF).map(decode)
+
+
+def public_step_evolve(g, rule, max_steps):
+    """evolve's contract from public steps and exact state comparison:
+    (orders, stop reason, cycle period, final graph)."""
+    orders = [g.order]
+    seen = {g.states.tobytes(): 0}
+    due = period = None
+    for t in range(1, max_steps + 1):
+        out = step(g, rule)
+        g = out.graph
+        orders.append(g.order)
+        key = g.states.tobytes()
+        if out.divisions_performed:
+            seen, due = {key: t}, None
+            continue
+        if t == due:
+            return orders, "cycle-found", period, g
+        if due is None and key in seen:
+            period = t - seen[key]
+            due = t + period
+        seen.setdefault(key, t)
+    return orders, "max-steps", None, g
+
+
+class TestStableIds:
+    """evolve runs on stable ids; what it reports equals public steps."""
+
+    @given(graphs(), st.one_of(rules, all_divide_rules), st.integers(0, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_evolve_matches_public_steps(self, g, rule, k):
+        trace = evolve(g, rule, Budget(max_steps=k))
+        orders, stop, period, final = public_step_evolve(g, rule, k)
+        assert trace.final_graph == final
+        assert trace.orders.tolist() == orders
+        assert trace.stop_reason == stop
+        assert trace.cycle_period == period
+
+    def test_labels_are_built_only_when_read(self, monkeypatch, tmp_path):
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("canonicalised")
+
+        monkeypatch.setattr(engine, "canonicalise", refuse)
+        trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=300))
+        assert trace.final_order > trace.orders[0]
+        config = SweepConfig(
+            rule_numbers=[256, 2222],
+            initial="paper-g0",
+            budget=Budget(max_steps=120, max_order=20_000),
+            thresholds=ClassifyThresholds(),
+        )
+        report = run_sweep(config, tmp_path / "journal.jsonl")
+        assert [rec["error"] for rec in report.records] == [None, None]
+        assert calls == []
+
+    def test_final_graph_is_canonicalised_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return canonicalise(*args)
+
+        monkeypatch.setattr(engine, "canonicalise", counted)
+        trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=300))
+        first = trace.final_graph
+        assert trace.final_graph is first
+        assert len(calls) == 1
+
+    def test_canonicalise_refuses_a_non_permutation(self):
+        g = k4_one_alive()
+        d = np.array([0, 1, 1, 0], dtype=np.uint8)
+        divided = StableGraph.of(g).advanced(g.states, d, 2)
+
+        def log_of(order, dividers):
+            log = SplitLog()
+            log.append(order, np.array(dividers))
+            return log
+
+        assert canonicalise(divided, log_of(4, divided.dividers)) == apply_divisions(g, d)
+        # vertex 1 logged as dividing twice in one step: two ids share labels
+        with pytest.raises(EngineInvariantError, match="not a permutation"):
+            canonicalise(divided, log_of(4, [1, 1]))
+        # the log ends at order 6, the tables have 8 rows
+        with pytest.raises(EngineInvariantError, match="split log"):
+            canonicalise(divided, log_of(4, [1]))
