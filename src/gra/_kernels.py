@@ -3,8 +3,9 @@
 A graph is held as ``neighbors`` (shape ``(order, 3)`` int64) plus
 ``states`` (shape ``(order,)`` uint8).  The engine evolves these tables
 under stable vertex ids: a vertex keeps its id for life, and the canonical
-labels of a :class:`gra.graph.Graph` are rebuilt from a split log only
-when a graph is read (see :mod:`gra.engine`).  Every row lists its
+labels of a :class:`gra.graph.Graph` are rebuilt from the chain of splits
+a :class:`gra.engine.StableGraph` carries, only when a graph is read (see
+:mod:`gra.engine`).  Every row lists its
 neighbors in canonical order, and ``rank`` (shape ``(order,)`` uint8)
 holds each vertex's self-rank r(v), the number of its neighbors that sit
 below it in that order.  The two kernels below are the per-step inner

@@ -25,7 +25,8 @@ class EvolutionTrace:
     cycle_period is set only when evolve confirmed an exact state cycle
     (stop_reason "cycle-found").  build_final_graph makes the last graph,
     under canonical labels; it runs on the first read of final_graph,
-    which is None for recorded series.
+    which is None for recorded series, and is dropped once it has
+    returned, so a read trace no longer holds what it built from.
     """
 
     orders: np.ndarray
@@ -37,7 +38,11 @@ class EvolutionTrace:
 
     @cached_property
     def final_graph(self) -> Optional[Graph]:
-        return None if self.build_final_graph is None else self.build_final_graph()
+        if self.build_final_graph is None:
+            return None
+        graph = self.build_final_graph()
+        self.build_final_graph = None
+        return graph
 
     @property
     def increments(self) -> np.ndarray:
@@ -98,8 +103,8 @@ class GrowthClassification:
 def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> int:
     """Reduce a known return time to the minimal period.
 
-    ``advance(states, k)`` must return the state vector k steps later.
-    Requires advance(initial, period_bound) == initial.
+    ``advance(k)`` must return the state vector k steps after
+    initial_states.  Requires advance(period_bound) == initial_states.
     """
     q = period_bound
     n = period_bound
@@ -113,7 +118,7 @@ def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> in
     if n > 1:
         factors.append(n)
     for f in set(factors):
-        while q % f == 0 and np.array_equal(advance(initial_states, q // f), initial_states):
+        while q % f == 0 and np.array_equal(advance(q // f), initial_states):
             q //= f
     return q
 

@@ -24,7 +24,7 @@ from .export import (
 )
 from .graph import graph_digest, resolve_initial_graph
 from .rules import decode, parse_rule_number
-from .sweep import format_census_table, load_config, load_preset, read_journal, run_sweep
+from .sweep import format_census_table, load_config, load_preset, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,14 +86,15 @@ def _sweep(args) -> int:
     journal = out_dir / "journal.jsonl"
     report_path = out_dir / "report.json"
 
-    # a rerun continues the journal, so its rules count as done already
-    done = {"n": len(read_journal(journal)[1]) if journal.exists() else 0}
-    total = len(config.rule_numbers)
+    # rules run in ascending order and a rerun continues the journal, so a
+    # record's rank among the rules is how many are done
+    rank = {n: i for i, n in enumerate(sorted(config.rule_numbers), start=1)}
+    total = len(rank)
 
     def progress(rec):
-        done["n"] += 1
-        if args.verbose and (done["n"] % 64 == 0 or done["n"] == total):
-            print(f"  {done['n']}/{total} rules", file=sys.stderr)
+        done = rank[rec["rule"]]
+        if args.verbose and (done % 64 == 0 or done == total):
+            print(f"  {done}/{total} rules", file=sys.stderr)
 
     report = run_sweep(config, journal, progress)
     report_path.write_text(report.to_json(), encoding="utf-8")

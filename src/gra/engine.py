@@ -8,24 +8,25 @@ A step, applied to the whole graph at once:
 4. every flagged vertex divides; clones inherit the post-update state.
 
 The division kernel works on stable vertex ids (see :mod:`gra._kernels`):
-it copies the tables once and patches O(dividers) rows.  The canonical
+it copies the tables once and patches O(dividers) rows.  A
+:class:`StableGraph` is a graph in those ids: its tables, each vertex's
+self-rank, and its splits, the chain of division steps (order before, ids
+that divided) since it was taken from canonical labels.  The canonical
 labels of a :class:`Graph` are the pre-order of the split forest: v, then
 the subtrees of its newest split's clones 1 and 2, then those of its older
-splits.  :func:`canonicalise` builds them from a split log (per division
-step, the order before it and the ids that divided).  :func:`step`,
-:func:`apply_divisions` and :func:`divide_vertex` canonicalise their
-one-step log, so every graph they return is labelled as if each division
-had shifted the vertices above it up by two.  :func:`evolve` runs on the
-stable tables, since cycle search is valid under any fixed labelling, and
-its trace canonicalises the final graph only when it is read.  The
-dense-matrix reference in :mod:`gra.dense` is the semantic authority and
-differential tests keep the two in lock step.
+splits; :meth:`StableGraph.canonical` builds them from the chain.
+:func:`step`, :func:`apply_divisions` and :func:`divide_vertex` return a
+Graph under canonical labels, as if each division had shifted the vertices
+above it up by two; :func:`step` keeps a StableGraph in stable ids.
+:func:`evolve` runs on a StableGraph, since cycle search is valid under any
+fixed labelling, and its trace builds the final graph's canonical labels
+only when it is read.  The dense-matrix reference in :mod:`gra.dense` is
+the semantic authority and differential tests keep the two in lock step.
 """
 
 import time as _time
-from array import array
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
@@ -53,7 +54,7 @@ CYCLE_WINDOW_CAP = 100_000
 
 @dataclass(frozen=True)
 class StepOutcome:
-    graph: Graph
+    graph: Union[Graph, "StableGraph"]
     divisions_performed: int
 
 
@@ -70,7 +71,7 @@ class Budget:
     wall_clock: Optional[float] = None
 
 
-def step(g: Graph, rule: Rule) -> StepOutcome:
+def step(g: Union[Graph, "StableGraph"], rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph.
 
     A StableGraph stays in stable ids; any other graph comes back under
@@ -83,7 +84,7 @@ def step(g: Graph, rule: Rule) -> StepOutcome:
     if isinstance(g, StableGraph):
         out = g.advanced(new_states, div, n_div)
     elif n_div:
-        out = _divided(g, new_states, div, n_div)
+        out = StableGraph.of(g).advanced(new_states, div, n_div).canonical()
     else:
         # no topology change: share the immutable neighbor table
         out = Graph._wrap(g.neighbors, new_states)
@@ -101,16 +102,23 @@ def self_rank(neighbors: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StableGraph(Graph):
+class StableGraph:
     """A graph in stable vertex ids, as evolve holds it.
 
-    rank holds each vertex's self-rank in the canonical order; dividers
-    the ascending ids that divided in the step that made this graph, or
-    None when none did.
+    rank holds each vertex's self-rank in the canonical order.  splits is
+    the chain of division steps since the graph was taken from canonical
+    labels, newest first: (order before, divider ids, older splits), or
+    None when there were none.
     """
 
+    neighbors: np.ndarray
+    states: np.ndarray
     rank: np.ndarray
-    dividers: Optional[np.ndarray] = None
+    splits: Optional[tuple] = field(default=None, repr=False)
+
+    @property
+    def order(self) -> int:
+        return self.states.shape[0]
 
     @classmethod
     def of(cls, g: Graph) -> "StableGraph":
@@ -120,7 +128,7 @@ class StableGraph(Graph):
     def advanced(self, states: np.ndarray, d: np.ndarray, n_div: int) -> "StableGraph":
         """The graph with new states and the n_div vertices flagged in d divided."""
         if not n_div:
-            return StableGraph(self.neighbors, states, self.rank)
+            return StableGraph(self.neighbors, states, self.rank, self.splits)
         nb, st, rank, dividers = _kernels.ACTIVE.divide_all(
             self.neighbors, states, d, n_div, rank=self.rank
         )
@@ -128,87 +136,58 @@ class StableGraph(Graph):
             raise EngineInvariantError(
                 f"order changed by {st.shape[0] - self.order} for {n_div} divisions"
             )
-        return StableGraph(nb, st, rank, dividers)
+        return StableGraph(nb, st, rank, (self.order, dividers, self.splits))
+
+    def canonical(self) -> Graph:
+        """This graph under its canonical labels.
+
+        Rows are already in canonical order, so relabelling keeps them
+        ascending.  Raises EngineInvariantError unless the positions are a
+        permutation of the ids.
+        """
+        if self.splits is None:
+            return Graph._wrap(self.neighbors, self.states)
+        pos = canonical_positions(self.splits, self.order)
+        counts = np.bincount(pos)  # sizes are positive, so no position is negative
+        if counts.shape[0] != self.order or not counts.all():
+            raise EngineInvariantError("canonical positions are not a permutation")
+        nb = np.empty_like(self.neighbors)
+        nb[pos] = pos[self.neighbors]
+        st = np.empty_like(self.states)
+        st[pos] = self.states
+        return Graph._wrap(nb, st)
 
 
-class SplitLog:
-    """Per division step, the order before it and the ids that divided.
-
-    Kept in two flat int64 arrays, so a long sparse run costs 8 bytes a
-    division step plus 8 a divider.
-    """
-
-    def __init__(self):
-        self.orders = array("q")
-        self.ids = array("q")
-
-    def append(self, order: int, dividers: np.ndarray) -> None:
-        self.orders.append(order)
-        self.ids.frombytes(dividers.astype(np.int64, copy=False).tobytes())
-
-
-def _divided(g: Graph, states: np.ndarray, d: np.ndarray, n_div: int) -> Graph:
-    """g under canonical labels, with new states and the flagged vertices divided."""
-    out = StableGraph.of(g).advanced(states, d, n_div)
-    log = SplitLog()
-    log.append(g.order, out.dividers)
-    return canonicalise(out, log)
-
-
-def canonical_positions(log: SplitLog, order: int) -> np.ndarray:
-    """Canonical label of every stable id, from a split log ending at order.
+def canonical_positions(splits: Optional[tuple], order: int) -> np.ndarray:
+    """Canonical label of every stable id, from a split chain ending at order.
 
     The labels are the pre-order of the split forest: v, then its newest
     split's clone-1 and clone-2 subtrees, then its older splits.  Two passes
-    of one vectorised batch per division step.  Newest step first, each
-    divider's subtree size takes in its clones' subtrees.  Then the roots
-    take consecutive runs, and oldest step first, each divider gives back
-    that split's clones; what is left of its size is how far its newer
-    splits reach, so this split's clone 1 starts there, past v itself.
+    of one vectorised batch per split.  Newest split first, each divider's
+    subtree size takes in its clones' subtrees.  Then the roots take
+    consecutive runs, and oldest split first, each divider gives back that
+    split's clones; what is left of its size is how far its newer splits
+    reach, so this split's clone 1 starts there, past v itself.
     """
-    ids = np.frombuffer(log.ids, np.int64)
-    starts = log.orders.tolist()
-    if starts and starts[0] + 2 * ids.shape[0] != order:
-        raise EngineInvariantError(f"split log does not add up to order {order}")
-    steps = []  # (order before, order after, divider ids), oldest first
-    done = 0
-    for o, end in zip(starts, starts[1:] + [order]):
-        steps.append((o, end, ids[done:done + (end - o) // 2]))
-        done += (end - o) // 2
-
     size = np.ones(order, np.int64)
-    for o, end, u in reversed(steps):
+    steps = []  # (order before, order after, divider ids), newest first
+    end = order
+    while splits is not None:
+        o, u, splits = splits
+        if o + 2 * u.shape[0] != end:
+            raise EngineInvariantError(f"splits do not add up to order {order}")
         size[u] += size[o:end:2] + size[o + 1:end:2]
-    roots = starts[0] if starts else order
-    pos = np.empty(order, np.int64)
-    np.cumsum(size[:roots], out=pos[:roots])
-    pos[:roots] -= size[:roots]
-    for o, end, u in steps:
+        steps.append((o, end, u))
+        end = o
+    pos = np.empty(order, np.int64)  # the ids below end are the roots
+    np.cumsum(size[:end], out=pos[:end])
+    pos[:end] -= size[:end]
+    for o, end, u in reversed(steps):
         size[u] -= size[o:end:2] + size[o + 1:end:2]
         first = pos[u] + size[u]
         pos[o:end:2] = first
         pos[o + 1:end:2] = first + size[o:end:2]
     return pos
-
-
-def canonicalise(g: StableGraph, log: SplitLog) -> Graph:
-    """g, whose divisions log holds, under its canonical labels.
-
-    Rows are already in canonical order, so relabelling keeps them
-    ascending.  Raises EngineInvariantError unless the positions are a
-    permutation of the ids.
-    """
-    if not log.orders:
-        return Graph._wrap(g.neighbors, g.states)
-    pos = canonical_positions(log, g.order)
-    counts = np.bincount(pos)  # sizes are positive, so no position is negative
-    if counts.shape[0] != g.order or not counts.all():
-        raise EngineInvariantError("canonical positions are not a permutation")
-    nb = np.empty_like(g.neighbors)
-    nb[pos] = pos[g.neighbors]
-    st = np.empty_like(g.states)
-    st[pos] = g.states
-    return Graph._wrap(nb, st)
 
 
 def divide_vertex(g: Graph, v: int) -> Graph:
@@ -242,10 +221,10 @@ def apply_divisions(g: Graph, d) -> Graph:
     n_div = int(d.sum())
     if n_div == 0:
         return g
-    return _divided(g, g.states, d, n_div)
+    return StableGraph.of(g).advanced(g.states, d, n_div).canonical()
 
 
-def _advance_states(g: Graph, rule: Rule, k: int) -> np.ndarray:
+def _advance_states(g: StableGraph, rule: Rule, k: int) -> np.ndarray:
     """States k steps ahead of g, asserting the topology stays frozen."""
     cur = g
     for _ in range(k):
@@ -267,11 +246,10 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     to the minimal period.  Budget exhaustion is a normal outcome recorded
     in the trace.
 
-    The loop holds the graph as a StableGraph and logs its divisions; the
-    trace canonicalises the final graph when it is first read.
+    The loop holds the graph as a StableGraph; the trace takes its
+    canonical labels when the final graph is first read.
     """
     g = StableGraph.of(g0)
-    log = SplitLog()
     orders = [g.order]
     digest = state_fingerprint(g)
     seen: dict[str, int] = {digest: 0}
@@ -291,8 +269,6 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
             stop = STOP_WALL_CLOCK
             break
         out = step(g, rule)
-        if out.divisions_performed:
-            log.append(g.order, out.graph.dividers)
         g = out.graph
         t += 1
         orders.append(g.order)
@@ -311,9 +287,7 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
             if t == due:
                 if g.states.tobytes() == snap:
                     cycle_period = minimal_period(
-                        g.states,
-                        lambda s0, k, _g=g, _r=rule: _advance_states(_g, _r, k),
-                        p,
+                        g.states, lambda k: _advance_states(g, rule, k), p
                     )
                     stop = STOP_CYCLE
                     break
@@ -331,5 +305,5 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         orders=np.asarray(orders, dtype=np.int64),
         stop_reason=stop,
         cycle_period=cycle_period,
-        build_final_graph=lambda: canonicalise(g, log),
+        build_final_graph=g.canonical,
     )

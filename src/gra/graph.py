@@ -5,8 +5,9 @@ lists v's three neighbors in ascending order.  A per-vertex ``states``
 vector holds the binary value (1 alive, 0 dead).  Graphs are immutable
 once constructed; every operation returns a new value.  The labels of an
 evolved graph are the canonical ones, in which each division shifts the
-vertices above the divider up by two; while it evolves, the engine holds
-a graph in stable ids instead (:class:`gra.engine.StableGraph`).
+vertices above the divider up by two.  While it evolves, the engine holds
+the tables in stable ids instead, in a :class:`gra.engine.StableGraph`,
+which is not a Graph and gives one through its ``canonical`` method.
 """
 
 import hashlib

@@ -218,27 +218,28 @@ def _run_rules(config: SweepConfig, todo: list[int], journal_fh, progress=None) 
 
 
 def _parse_journal(data: bytes) -> tuple[Optional[str], list[dict], int]:
-    """(header fingerprint, rule records, byte length) of the complete lines."""
+    """(header fingerprint, rule records, byte length) of the complete lines.
+
+    Only newline-terminated lines count: an unterminated last line is what
+    a killed sweep leaves behind, and it is ignored.  The fingerprint is
+    None when data holds no complete line.  ConfigMismatchError is raised
+    when the first line is not a header object with a string fingerprint,
+    or a later line is not a record object with an integer rule."""
     size = data.rfind(b"\n") + 1
     lines = data[:size].splitlines()
     if not lines:
         return None, [], 0
     header = json.loads(lines[0])
-    if header.get("kind") != "header":
+    if not (
+        isinstance(header, dict)
+        and header.get("kind") == "header"
+        and isinstance(header.get("fingerprint"), str)
+    ):
         raise ConfigMismatchError("journal does not start with a header line")
-    return header["fingerprint"], [json.loads(line) for line in lines[1:]], size
-
-
-def read_journal(journal_path) -> tuple[Optional[str], list[dict]]:
-    """Parse a journal file into (header fingerprint, rule records).
-
-    Only newline-terminated lines count: an unterminated last line is what
-    a killed sweep leaves behind, and it is ignored.  The fingerprint is
-    None when the file holds no complete line.  ConfigMismatchError is
-    raised when the first complete line is not a header."""
-    with open(journal_path, "rb") as fh:
-        fingerprint, records, _ = _parse_journal(fh.read())
-    return fingerprint, records
+    records = [json.loads(line) for line in lines[1:]]
+    if not all(isinstance(rec, dict) and type(rec.get("rule")) is int for rec in records):
+        raise ConfigMismatchError("journal holds a line that is not a rule record")
+    return header["fingerprint"], records, size
 
 
 def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepReport:
@@ -288,6 +289,21 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _number(value, key: str):
+    """value when it is a real number; GraError naming key otherwise, a bool
+    included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise GraError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _object(value, key: str) -> dict:
+    """A copy of value when it is a JSON object; GraError naming key otherwise."""
+    if not isinstance(value, dict):
+        raise GraError(f"{key} must be an object, got {value!r}")
+    return dict(value)
+
+
 def _parse_rules_field(value) -> list[int]:
     if value == "single-division-subset":
         return single_division_subset()
@@ -299,12 +315,28 @@ def _parse_rules_field(value) -> list[int]:
     raise GraError(f"bad rules field: {value!r}")
 
 
-def _known_keys(doc: dict, known, section: str) -> dict:
-    """A copy of doc, refused when it names a key outside known."""
+def _known_keys(doc: dict, known, section: str) -> None:
+    """Refuse doc when it names a key outside known."""
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise GraError(f"unknown {section} key(s): {', '.join(unknown)}")
-    return dict(doc)
+
+
+def _thresholds(section) -> dict:
+    """The thresholds section, its keys and each value's type checked."""
+    doc = _object(section, "thresholds")
+    _known_keys(doc, {f.name for f in fields(ClassifyThresholds)}, "thresholds")
+    for key, value in doc.items():
+        name = f"thresholds.{key}"
+        if key == "quadratic_exponent_band":
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise GraError(f"{name} must be two numbers, got {value!r}")
+            doc[key] = tuple(_number(v, name) for v in value)
+        elif key == "periodicity_cap":
+            doc[key] = _integer(value, name)
+        else:
+            _number(value, name)
+    return doc
 
 
 def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig:
@@ -313,29 +345,33 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
     overrides (CLI flags) win over file values key by key.  The top-level
     keys are rules, initial, budget, thresholds and workers; budget and
     thresholds keys are the fields of Budget and ClassifyThresholds.  Any
-    other key raises GraError."""
-    doc = dict(doc)
+    other key, and any value of the wrong type, raises GraError naming the
+    key."""
+    doc = _object(doc, "config")
     budget_keys = {f.name for f in fields(Budget)}
+    budget = _object(doc.get("budget", {}), "budget")
     for key, value in (overrides or {}).items():
         if value is not None:
             if key in budget_keys:
-                doc["budget"] = {**doc.get("budget", {}), key: value}
+                budget[key] = value
             else:
                 doc[key] = value
     _known_keys(doc, ("rules", "initial", "budget", "thresholds", "workers"), "config")
-    budget = _known_keys(doc.get("budget", {}), budget_keys, "budget")
+    _known_keys(budget, budget_keys, "budget")
     if "max_steps" not in budget:
         raise GraError("config must set budget.max_steps")
     for key in ("max_steps", "max_order"):
         if key in budget:
             budget[key] = _integer(budget[key], f"budget.{key}")
-    threshold_keys = {f.name for f in fields(ClassifyThresholds)}
-    thresholds = _known_keys(doc.get("thresholds", {}), threshold_keys, "thresholds")
-    if "quadratic_exponent_band" in thresholds:
-        thresholds["quadratic_exponent_band"] = tuple(thresholds["quadratic_exponent_band"])
+    if budget.get("wall_clock") is not None:
+        _number(budget["wall_clock"], "budget.wall_clock")
+    thresholds = _thresholds(doc.get("thresholds", {}))
+    initial = doc.get("initial", "paper-g0")
+    if not isinstance(initial, str):
+        raise GraError(f"initial must be a string, got {initial!r}")
     return SweepConfig(
         rule_numbers=_parse_rules_field(doc.get("rules", "single-division-subset")),
-        initial=doc.get("initial", "paper-g0"),
+        initial=initial,
         budget=Budget(**budget),
         thresholds=ClassifyThresholds(**thresholds),
         workers=_integer(doc.get("workers", 1), "workers"),

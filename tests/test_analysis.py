@@ -42,7 +42,7 @@ def trace_from_increments(increments, start=16):
 
 def cyclic_advance(sequence):
     """advance() for minimal_period over a cyclic list of state vectors."""
-    return lambda states, k: sequence[k % len(sequence)]
+    return lambda k: sequence[k % len(sequence)]
 
 
 def distinct_states(n):
@@ -100,6 +100,27 @@ class TestDetectCycle:
         trace = evolve(g, decode(0), Budget(max_steps=0))
         assert trace.steps == 0
         assert trace.cycle_period is None
+
+
+class TestFinalGraph:
+    def test_failed_read_keeps_the_builder(self):
+        g = build_graph(K4_EDGES, (1, 0, 0, 0))
+        reads = []
+
+        def build():
+            reads.append(len(reads))
+            if len(reads) == 1:
+                raise RuntimeError("first read fails")
+            return g
+
+        trace = EvolutionTrace(orders=np.array([4]), stop_reason="max-steps", build_final_graph=build)
+        with pytest.raises(RuntimeError):
+            trace.final_graph
+        assert trace.build_final_graph is build
+        assert trace.final_graph is g
+        assert trace.build_final_graph is None
+        assert trace.final_graph is g
+        assert reads == [0, 1]
 
 
 class TestFitGrowth:

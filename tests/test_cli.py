@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gra.cli import main
 from gra.graph import load_graph
 
@@ -209,6 +211,38 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
         assert code == 1
         assert err == "error: unknown config key(s): rule, worker\n"
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[1]", "config"),
+            ('{"rules": [0], "budget": 5}', "budget"),
+            ('{"rules": [0], "budget": {"max_steps": 5}, "thresholds": 5}', "thresholds"),
+            ('{"rules": [0], "budget": {"max_steps": 5, "wall_clock": "60"}}', "budget.wall_clock"),
+            ('{"rules": [0], "budget": {"max_steps": 5, "wall_clock": true}}', "budget.wall_clock"),
+            (
+                '{"rules": [0], "budget": {"max_steps": 5}, "thresholds": {"theta_linear": "high"}}',
+                "thresholds.theta_linear",
+            ),
+            (
+                '{"rules": [0], "budget": {"max_steps": 5},'
+                ' "thresholds": {"quadratic_exponent_band": 3}}',
+                "thresholds.quadratic_exponent_band",
+            ),
+            ('{"rules": [0], "budget": {"max_steps": 5}, "initial": 5}', "initial"),
+        ],
+        ids=[
+            "document-list", "budget-number", "thresholds-number", "wall_clock-string",
+            "wall_clock-bool", "threshold-string", "band-number", "initial-number",
+        ],
+    )
+    def test_ill_typed_value_refused(self, tmp_path, capsys, text, key):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "o" / "journal.jsonl").exists()
 
     def test_failed_rule_exits_internal(self, tmp_path, capsys, monkeypatch):

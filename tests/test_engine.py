@@ -1,19 +1,20 @@
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gra import _kernels, engine
+from gra import _kernels
 from gra.analysis import ClassifyThresholds
 from gra.engine import (
     Budget,
-    SplitLog,
     StableGraph,
     apply_divisions,
     canonical_positions,
-    canonicalise,
     divide_vertex,
     evolve,
     self_rank,
@@ -191,13 +192,12 @@ def assert_divide_all_agrees(g, states, div):
         g.neighbors, states.copy(), div, n_div, rank=self_rank(g.neighbors)
     )
     assert np.array_equal(dividers, np.flatnonzero(div))
-    log = SplitLog()
-    log.append(g.order, dividers)
-    out = canonicalise(StableGraph(nb, st_, rank, dividers), log)
+    splits = (g.order, dividers, None)
+    out = StableGraph(nb, st_, rank, splits).canonical()
     assert np.array_equal(out.neighbors, ref_nb) and out.neighbors.dtype == ref_nb.dtype
     assert np.array_equal(out.states, ref_st) and out.states.dtype == ref_st.dtype
     # the returned self-ranks are those of the canonical graph
-    pos = canonical_positions(log, out.order)
+    pos = canonical_positions(splits, out.order)
     assert np.array_equal(rank, self_rank(ref_nb)[pos]) and rank.dtype == np.uint8
 
 
@@ -357,11 +357,11 @@ class TestStableIds:
     def test_labels_are_built_only_when_read(self, monkeypatch, tmp_path):
         calls = []
 
-        def refuse(*args):
-            calls.append(args)
+        def refuse(self):
+            calls.append(self)
             raise AssertionError("canonicalised")
 
-        monkeypatch.setattr(engine, "canonicalise", refuse)
+        monkeypatch.setattr(StableGraph, "canonical", refuse)
         trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=300))
         assert trace.final_order > trace.orders[0]
         config = SweepConfig(
@@ -377,30 +377,51 @@ class TestStableIds:
     def test_final_graph_is_canonicalised_once(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return canonicalise(*args)
+        def counted(self):
+            calls.append(self)
+            return canonical(self)
 
-        monkeypatch.setattr(engine, "canonicalise", counted)
+        canonical = StableGraph.canonical
+        monkeypatch.setattr(StableGraph, "canonical", counted)
         trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=300))
         first = trace.final_graph
         assert trace.final_graph is first
         assert len(calls) == 1
+
+    def test_final_graph_read_frees_the_stable_graph(self):
+        trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=300))
+        stable = weakref.ref(trace.build_final_graph.__self__)
+        trace.final_graph
+        gc.collect()
+        assert stable() is None
+        assert trace.final_graph.order == trace.final_order
 
     def test_canonicalise_refuses_a_non_permutation(self):
         g = k4_one_alive()
         d = np.array([0, 1, 1, 0], dtype=np.uint8)
         divided = StableGraph.of(g).advanced(g.states, d, 2)
 
-        def log_of(order, dividers):
-            log = SplitLog()
-            log.append(order, np.array(dividers))
-            return log
+        def with_splits(*dividers):
+            return dataclasses.replace(divided, splits=(4, np.array(dividers), None))
 
-        assert canonicalise(divided, log_of(4, divided.dividers)) == apply_divisions(g, d)
-        # vertex 1 logged as dividing twice in one step: two ids share labels
+        assert divided.canonical() == apply_divisions(g, d)
+        # vertex 1 recorded as dividing twice in one step: two ids share labels
         with pytest.raises(EngineInvariantError, match="not a permutation"):
-            canonicalise(divided, log_of(4, [1, 1]))
-        # the log ends at order 6, the tables have 8 rows
-        with pytest.raises(EngineInvariantError, match="split log"):
-            canonicalise(divided, log_of(4, [1]))
+            with_splits(1, 1).canonical()
+        # the splits end at order 6, the tables have 8 rows
+        with pytest.raises(EngineInvariantError, match="do not add up"):
+            with_splits(1).canonical()
+
+    @given(graphs(), rules, rules, st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_one_stable_graph_steps_down_two_branches(self, g, a, b, k):
+        # k steps of rule a, then each branch k more steps of its own rule
+        stable, public = StableGraph.of(g), g
+        for _ in range(k):
+            stable, public = step(stable, a).graph, step(public, a).graph
+        for rule in (a, b):
+            branch, expected = stable, public
+            for _ in range(k):
+                branch, expected = step(branch, rule).graph, step(expected, rule).graph
+            assert branch.canonical() == expected
+        assert stable.canonical() == public

@@ -13,7 +13,6 @@ from gra.sweep import (
     config_from_dict,
     format_census_table,
     load_preset,
-    read_journal,
     run_sweep,
 )
 
@@ -128,7 +127,7 @@ class TestResume:
         partial = tmp_path / "partial.jsonl"
         partial.write_bytes(b"".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
 
-        assert read_journal(partial)[1] == clean.records[:3]
+        assert [json.loads(line) for line in lines[1:4]] == clean.records[:3]
         resumed = run_sweep(config, journal_path=partial)
         assert resumed.to_json() == clean.to_json()
         assert partial.read_bytes() == clean_journal.read_bytes()
@@ -184,9 +183,36 @@ class TestResume:
         config = small_config()
         journal = tmp_path / "j.jsonl"
         report = run_sweep(config, journal_path=journal)
-        fingerprint, records = read_journal(journal)
-        assert fingerprint == config.fingerprint()
+        header, *records = map(json.loads, journal.read_text().splitlines())
+        assert header["fingerprint"] == config.fingerprint()
         assert records == report.records
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"3", b'{"kind": "header"}', b'{"kind": "header", "fingerprint": 7}'],
+        ids=["not-an-object", "no-fingerprint", "non-string-fingerprint"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, line):
+        journal = tmp_path / "j.jsonl"
+        journal.write_bytes(line + b"\n")
+        with pytest.raises(ConfigMismatchError, match="header"):
+            run_sweep(small_config(), journal_path=journal)
+        assert journal.read_bytes() == line + b"\n"
+
+    @pytest.mark.parametrize(
+        "line", [b"3", b"{}", b'{"rule": "0"}', b'{"rule": true}'],
+        ids=["not-an-object", "no-rule", "string-rule", "bool-rule"],
+    )
+    def test_malformed_record_rejected(self, tmp_path, line):
+        config = small_config()
+        journal = tmp_path / "j.jsonl"
+        run_sweep(config, journal_path=journal)
+        header = journal.read_bytes().splitlines(keepends=True)[0]
+        journal.write_bytes(header + line + b"\n")
+        before = journal.read_bytes()
+        with pytest.raises(ConfigMismatchError, match="rule record"):
+            run_sweep(config, journal_path=journal)
+        assert journal.read_bytes() == before
 
 
 class TestPeriodCensus:
