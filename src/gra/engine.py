@@ -77,9 +77,7 @@ def step(g: Union[Graph, "StableGraph"], rule: Rule) -> StepOutcome:
     A StableGraph stays in stable ids; any other graph comes back under
     canonical labels.
     """
-    new_states, div, n_div = _kernels.ACTIVE.step_tables(
-        g.neighbors, g.states, rule.next_state, rule.divides
-    )
+    new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
     n_div = int(n_div)
     if isinstance(g, StableGraph):
         out = g.advanced(new_states, div, n_div)
@@ -151,11 +149,9 @@ class StableGraph:
         counts = np.bincount(pos)  # sizes are positive, so no position is negative
         if counts.shape[0] != self.order or not counts.all():
             raise EngineInvariantError("canonical positions are not a permutation")
-        nb = np.empty_like(self.neighbors)
-        nb[pos] = pos[self.neighbors]
-        st = np.empty_like(self.states)
-        st[pos] = self.states
-        return Graph._wrap(nb, st)
+        inv = np.empty_like(pos)  # the stable id at each canonical label
+        inv[pos] = np.arange(self.order)
+        return Graph._wrap(pos[self.neighbors.take(inv, axis=0)], self.states[inv])
 
 
 def canonical_positions(splits: Optional[tuple], order: int) -> np.ndarray:

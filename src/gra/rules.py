@@ -2,8 +2,10 @@
 
 A rule is a 16-bit integer.  Bit i (i in 0..7) gives the next state for a
 vertex in configuration i; bit i+8 flags whether that configuration
-triggers a division.  Decoding once into two flat 8-entry tables keeps the
-hot loop branch-free.
+triggers a division.  The step kernel reads those bits from the number
+itself.  The two 8-entry tables a rule is decoded into serve the dense
+oracle in :mod:`gra.dense`, :func:`encode` and :func:`complement_rule`, so
+the oracle checks the kernel against a decoding of its own.
 """
 
 from dataclasses import dataclass

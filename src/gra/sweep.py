@@ -217,26 +217,35 @@ def _run_rules(config: SweepConfig, todo: list[int], journal_fh, progress=None) 
     return records
 
 
+def _json_line(line: bytes, number: int):
+    """One journal line's value; ConfigMismatchError naming the line when it
+    is not JSON."""
+    try:
+        return json.loads(line)
+    except ValueError:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigMismatchError(f"journal line {number} is not JSON") from None
+
+
 def _parse_journal(data: bytes) -> tuple[Optional[str], list[dict], int]:
     """(header fingerprint, rule records, byte length) of the complete lines.
 
     Only newline-terminated lines count: an unterminated last line is what
     a killed sweep leaves behind, and it is ignored.  The fingerprint is
     None when data holds no complete line.  ConfigMismatchError is raised
-    when the first line is not a header object with a string fingerprint,
-    or a later line is not a record object with an integer rule."""
+    when a line is not JSON, the first line is not a header object with a
+    string fingerprint, or a later line is not a record object with an
+    integer rule."""
     size = data.rfind(b"\n") + 1
     lines = data[:size].splitlines()
     if not lines:
         return None, [], 0
-    header = json.loads(lines[0])
+    header, *records = (_json_line(line, i) for i, line in enumerate(lines, start=1))
     if not (
         isinstance(header, dict)
         and header.get("kind") == "header"
         and isinstance(header.get("fingerprint"), str)
     ):
         raise ConfigMismatchError("journal does not start with a header line")
-    records = [json.loads(line) for line in lines[1:]]
     if not all(isinstance(rec, dict) and type(rec.get("rule")) is int for rec in records):
         raise ConfigMismatchError("journal holds a line that is not a rule record")
     return header["fingerprint"], records, size
@@ -251,11 +260,11 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
     rules already recorded are taken from it, and only the rest run and
     get appended (ascending rule order).  A journal from another config
     raises ConfigMismatchError and is left untouched: its fingerprint
-    differs, its first line is not a header, or its records are not the
-    first rules of this sweep in ascending order.  Without a journal_path
-    the same steps run against an in-memory journal.  progress is called
-    once per rule that runs, in ascending rule order, so never on a rerun
-    of a finished sweep."""
+    differs, a line is not JSON, its first line is not a header, or its
+    records are not the first rules of this sweep in ascending order.
+    Without a journal_path the same steps run against an in-memory
+    journal.  progress is called once per rule that runs, in ascending
+    rule order, so never on a rerun of a finished sweep."""
     todo = sorted(config.rule_numbers)
     expected = config.fingerprint()
     with (io.BytesIO() if journal_path is None else open(journal_path, "a+b")) as fh:

@@ -173,6 +173,21 @@ class TestSweepCommand:
         assert "different configuration" in err
         assert journal.read_bytes() == before
 
+    @pytest.mark.parametrize("at", [0, 2], ids=["header", "record"])
+    def test_journal_line_that_is_not_json_refused(self, tmp_path, capsys, at):
+        config = self._config(tmp_path, [0, 256, 770, 2222])
+        d1 = tmp_path / "o1"
+        run(["sweep", "--config", str(config), "--out", str(d1)], capsys)
+        journal = d1 / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[at] = b"garbage\n"
+        journal.write_bytes(b"".join(lines))
+        before = journal.read_bytes()
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(d1)], capsys)
+        assert code == 1
+        assert err == f"error: journal line {at + 1} is not JSON\n"
+        assert journal.read_bytes() == before
+
     def test_verbose_rerun_counts_journaled_rules(self, tmp_path, capsys):
         rules = [0, 256, 260, 300, 770, 2222, 2238, 4321]
         config = self._config(tmp_path, rules)

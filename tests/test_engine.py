@@ -26,11 +26,13 @@ from gra.errors import (
     LengthMismatchError,
     NonBinaryStateError,
 )
+from gra.generate import ring_chord_graph
 from gra.graph import (
     Graph,
     build_graph,
     canonical_g0,
     complement_states,
+    configuration_census,
     configuration_vector,
     k4_one_alive,
 )
@@ -207,9 +209,9 @@ class TestBackendEquivalence:
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_step_tables_agree(self, g, rule):
-        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.number)
         for be in BACKENDS:
-            out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+            out = be.step_tables(g.neighbors, g.states, rule.number)
             assert np.array_equal(out[0], ref[0]), be.name
             assert np.array_equal(out[1], ref[1]), be.name
             assert int(out[2]) == int(ref[2]), be.name
@@ -218,7 +220,7 @@ class TestBackendEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_divide_all_agrees_on_rule_divisions(self, g, rule):
         new_states, div, n_div = _kernels.NUMPY_BACKEND.step_tables(
-            g.neighbors, g.states, rule.next_state, rule.divides
+            g.neighbors, g.states, rule.number
         )
         if n_div:
             assert_divide_all_agrees(g, new_states, div)
@@ -241,9 +243,9 @@ class TestBackendEquivalence:
         g = canonical_g0()
         while g.order < 10_000:
             g = step(g, rule).graph
-        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.number)
         for be in BACKENDS:
-            out = be.step_tables(g.neighbors, g.states, rule.next_state, rule.divides)
+            out = be.step_tables(g.neighbors, g.states, rule.number)
             assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype, be.name
             assert np.array_equal(out[1], ref[1]) and out[1].dtype == ref[1].dtype, be.name
             assert int(out[2]) == int(ref[2]), be.name
@@ -256,6 +258,39 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(1026)
         assert_divide_all_agrees(g, g.states, (rng.random(g.order) < 0.19).astype(np.uint8))
         assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
+
+
+class TestRuleBits:
+    """step_tables reads the rule number's bits; decode's tables are the check."""
+
+    def test_bits_match_the_decoded_tables(self):
+        g = ring_chord_graph(64)
+        assert configuration_census(g).all()  # every configuration occurs
+        conf = configuration_vector(g)
+        kernels = [_kernels._loop_step_tables] + [be.step_tables for be in BACKENDS]
+        # every value of each byte, each time beside a different other byte
+        for b in range(256):
+            for number in (b | (255 - b) << 8, (255 - b) | b << 8):
+                rule = decode(number)
+                for kernel in kernels:
+                    new_states, div, n_div = kernel(g.neighbors, g.states, number)
+                    assert new_states.dtype == np.uint8 and div.dtype == np.uint8
+                    assert np.array_equal(new_states, rule.next_state[conf]), number
+                    assert np.array_equal(div, rule.divides[conf]), number
+                    assert int(n_div) == int(rule.divides[conf].sum()), number
+
+    def test_dividers_own_their_data(self):
+        # the split chain keeps them for the life of the graph
+        g = canonical_g0()
+        div = np.zeros(g.order, dtype=np.uint8)
+        div[[1, 5]] = 1
+        *_, dividers = _kernels.ACTIVE.divide_all(
+            g.neighbors, g.states, div, 2, rank=self_rank(g.neighbors)
+        )
+        assert dividers.tolist() == [1, 5]
+        assert dividers.base is None
+        stable = step(StableGraph.of(g), decode(1026)).graph
+        assert stable.splits[1].base is None
 
 
 class TestEvolve:

@@ -214,6 +214,19 @@ class TestResume:
             run_sweep(config, journal_path=journal)
         assert journal.read_bytes() == before
 
+    @pytest.mark.parametrize("at", [0, 2], ids=["header", "record"])
+    def test_line_that_is_not_json_rejected(self, tmp_path, at):
+        config = small_config()
+        journal = tmp_path / "j.jsonl"
+        run_sweep(config, journal_path=journal)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[at] = b"garbage\n"
+        journal.write_bytes(b"".join(lines))
+        before = journal.read_bytes()
+        with pytest.raises(ConfigMismatchError, match=f"journal line {at + 1} is not JSON"):
+            run_sweep(config, journal_path=journal)
+        assert journal.read_bytes() == before
+
 
 class TestPeriodCensus:
     def test_single_halted_rule(self):
