@@ -19,20 +19,25 @@ loops:
     count divisions.
 
 ``divide_all``
-    perform every flagged division in one batch, in O(order) for one copy
-    of the tables plus O(dividers) patches.  Divider v is replaced by a
-    triangle of clones: clone 0 keeps the id v, clones 1 and 2 are
-    appended as o + 2i and o + 2i + 1 (o the order, i the rank of v among
-    the dividers).  Clone k inherits v's k-th neighbor t, and the slot
-    of t that pointed at v is renamed to clone k; a neighbor that divides
-    too hands over its own clone at that slot.  The three clones take
-    v's place in the canonical order, so no other row changes order and
-    no other self-rank changes.  t sits below the block exactly when
-    k < r(v), so clone k's row is [t, a, b] then, and [a, b, t]
-    otherwise (a < b its two partners), and its self-rank becomes
-    (k < r(v)) + k.  Rows are gathered with ``take``, which is several
-    times faster than 2-D fancy indexing, and the new states and ranks
-    are the old ones with the appended clones' values concatenated.
+    perform every flagged division in one batch, in place: O(dividers)
+    patches to neighbor and rank tables that have room for the clones
+    (their first rows are the graph's), plus O(order) to grow the states.
+    It returns views of the rows in use.  Whose tables those are is the
+    caller's choice: a public step hands it a fresh copy, so the graph it
+    stepped stays as it was, and evolve its own buffers, which it grows
+    geometrically.  Divider v is replaced by a triangle of clones: clone 0
+    keeps the id v, clones 1 and 2 are appended as o + 2i and o + 2i + 1
+    (o the order, i the rank of v among the dividers).  Clone k inherits
+    v's k-th neighbor t, and the slot of t that pointed at v is renamed to
+    clone k; a neighbor that divides too hands over its own clone at that
+    slot.  The three clones take v's place in the canonical order, so no
+    other row changes order and no other self-rank changes.  t sits below
+    the block exactly when k < r(v), so clone k's row is [t, a, b] then,
+    and [a, b, t] otherwise (a < b its two partners), and its self-rank
+    becomes (k < r(v)) + k.  Rows are gathered with ``take``, which is
+    several times faster than 2-D fancy indexing; the clones' ranks are
+    written past the old ones, and the new states are the old ones with
+    the appended clones' concatenated.
 
 ``step_tables`` has two implementations of the same arithmetic: the numpy
 one sums the configurations in uint8, and the explicit loop is compiled by
@@ -95,10 +100,14 @@ _CLONE = np.arange(3, dtype=np.uint8)
 
 
 def _np_divide_all(neighbors, states, div, n_div, *, rank):
-    """Tables after dividing every flagged vertex, in stable ids.
+    """Divide every flagged vertex in place, in stable ids.
 
-    div is uint8 with entries 0 or 1.  Returns (neighbors, states, rank,
-    dividers): the first three grown by 2 * n_div rows, and dividers the
+    div is uint8 with entries 0 or 1, and states (the new states) has one
+    entry per vertex, so its length o is the order.  neighbors and rank are
+    tables with room: at least o + 2 * n_div rows, of which the first o are
+    the graph's.  They are patched in place.  Returns (neighbors, states,
+    rank, dividers): views of the first o + 2 * n_div rows of the two
+    tables, the states grown by the appended clones', and dividers the
     ascending ids that divided, in an array of their own.
     """
     o = states.shape[0]
@@ -107,21 +116,19 @@ def _np_divide_all(neighbors, states, div, n_div, *, rank):
     u = np.flatnonzero(div.view(np.bool_)).copy()
     n = u.shape[0]
     m = o + 2 * n
-    new_neighbors = np.empty((m, 3), np.int64)
-    new_neighbors[:o] = neighbors
-    flat = new_neighbors.reshape(-1)
+    flat = neighbors.reshape(-1)
     clones = np.empty((n, 3), np.int64)
     clones[:, 0] = u
     clones[:, 1:] = np.arange(o, m).reshape(n, 2)
 
     # the slot of w pointing at u goes to u's clone k, where w is u's k-th
-    # neighbor; each slot points at one vertex, so none is written twice
+    # neighbor; each slot points at one vertex, so none is written twice,
+    # and every slot is found before the first is written
     at = 3 * neighbors.take(u, axis=0)
-    old = neighbors.reshape(-1)
     u_col = u[:, None]
-    at += (old[at + 1] == u_col) + 2 * (old[at + 2] == u_col)
+    at += (flat[at + 1] == u_col) + 2 * (flat[at + 2] == u_col)
     flat[at] = clones
-    t = new_neighbors.take(u, axis=0)
+    t = neighbors.take(u, axis=0)
 
     # clone k's row is [t, a, b] when t sits below the block (k < r(u)),
     # and [a, b, t] otherwise
@@ -134,11 +141,11 @@ def _np_divide_all(neighbors, states, div, n_div, *, rank):
     flat[at] = t
 
     # clone 0 keeps u's id, so only clones 1 and 2 are appended
-    new_states = np.concatenate((states, np.repeat(states[u], 2)))
     clone_rank = low + _CLONE
-    new_rank = np.concatenate((rank, clone_rank[:, 1:].reshape(-1)))
-    new_rank[u] = clone_rank[:, 0]
-    return new_neighbors, new_states, new_rank, u
+    rank[o:m] = clone_rank[:, 1:].reshape(-1)
+    rank[u] = clone_rank[:, 0]
+    new_states = np.concatenate((states, np.repeat(states[u], 2)))
+    return neighbors[:m], new_states, rank[:m], u
 
 
 class Backend(NamedTuple):

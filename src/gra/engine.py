@@ -8,7 +8,13 @@ A step, applied to the whole graph at once:
 4. every flagged vertex divides; clones inherit the post-update state.
 
 The division kernel works on stable vertex ids (see :mod:`gra._kernels`):
-it copies the tables once and patches O(dividers) rows.  A
+it patches O(dividers) rows in place, in tables with room for the clones.
+A public :func:`step` hands it a fresh copy of the graph's tables, so
+every graph stays a value and one StableGraph can be stepped down two
+branches.  :func:`evolve`, which owns its graph and never branches, hands
+it tables of its own instead, grown geometrically, so a division step
+copies no table; nor does it hash the states a division step made unless
+the next step keeps the order, since only then can they start a cycle.  A
 :class:`StableGraph` is a graph in those ids: its tables, each vertex's
 self-rank, and its splits, the chain of division steps (order before, ids
 that divided) since it was taken from canonical labels.  The canonical
@@ -26,7 +32,7 @@ the semantic authority and differential tests keep the two in lock step.
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -71,16 +77,19 @@ class Budget:
     wall_clock: Optional[float] = None
 
 
-def step(g: Union[Graph, "StableGraph"], rule: Rule) -> StepOutcome:
+def step(
+    g: Union[Graph, "StableGraph"], rule: Rule, *, room: Optional[Callable] = None
+) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph.
 
     A StableGraph stays in stable ids; any other graph comes back under
-    canonical labels.
+    canonical labels.  room, for a StableGraph, is passed on to
+    :meth:`StableGraph.advanced`.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
     n_div = int(n_div)
     if isinstance(g, StableGraph):
-        out = g.advanced(new_states, div, n_div)
+        out = g.advanced(new_states, div, n_div, room)
     elif n_div:
         out = StableGraph.of(g).advanced(new_states, div, n_div).canonical()
     else:
@@ -123,13 +132,21 @@ class StableGraph:
         """g's canonical labels taken as its stable ids."""
         return cls(g.neighbors, g.states, self_rank(g.neighbors))
 
-    def advanced(self, states: np.ndarray, d: np.ndarray, n_div: int) -> "StableGraph":
-        """The graph with new states and the n_div vertices flagged in d divided."""
+    def advanced(
+        self, states: np.ndarray, d: np.ndarray, n_div: int, room: Optional[Callable] = None
+    ) -> "StableGraph":
+        """The graph with new states and the n_div vertices flagged in d divided.
+
+        The division kernel writes into neighbor and rank tables with room
+        for the clones.  By default they are fresh copies of this graph's,
+        so this graph is left as it was.  room(g, rows), if given, returns
+        such tables of at least rows rows instead, and the kernel patches
+        them in place.
+        """
         if not n_div:
             return StableGraph(self.neighbors, states, self.rank, self.splits)
-        nb, st, rank, dividers = _kernels.ACTIVE.divide_all(
-            self.neighbors, states, d, n_div, rank=self.rank
-        )
+        nb, rank = (room or _tables_with_room)(self, self.order + 2 * n_div)
+        nb, st, rank, dividers = _kernels.ACTIVE.divide_all(nb, states, d, n_div, rank=rank)
         if st.shape[0] != self.order + 2 * n_div:
             raise EngineInvariantError(
                 f"order changed by {st.shape[0] - self.order} for {n_div} divisions"
@@ -152,6 +169,34 @@ class StableGraph:
         inv = np.empty_like(pos)  # the stable id at each canonical label
         inv[pos] = np.arange(self.order)
         return Graph._wrap(pos[self.neighbors.take(inv, axis=0)], self.states[inv])
+
+
+def _tables_with_room(g: StableGraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh neighbor and rank tables of the given rows, the first g.order of them g's."""
+    nb = np.empty((rows, 3), np.int64)
+    nb[: g.order] = g.neighbors
+    rank = np.empty(rows, np.uint8)
+    rank[: g.order] = g.rank
+    return nb, rank
+
+
+class _GrowingTables:
+    """The neighbor and rank tables one evolve owns, which its graph lives in.
+
+    Called as the room of :meth:`StableGraph.advanced` with the graph last
+    made in them (or, the first time, any graph), it returns them, grown
+    first if they hold fewer than rows rows.  The capacity grows to
+    max(rows, 2 * capacity), so a run copies its tables O(log order) times;
+    the pages of rows not yet written are not paged in.
+    """
+
+    capacity = 0
+
+    def __call__(self, g: StableGraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        if rows > self.capacity:
+            self.capacity = max(rows, 2 * self.capacity)
+            self.neighbors, self.rank = _tables_with_room(g, self.capacity)
+        return self.neighbors, self.rank
 
 
 def canonical_positions(splits: Optional[tuple], order: int) -> np.ndarray:
@@ -242,13 +287,19 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     to the minimal period.  Budget exhaustion is a normal outcome recorded
     in the trace.
 
-    The loop holds the graph as a StableGraph; the trace takes its
-    canonical labels when the final graph is first read.
+    The loop holds the graph as a StableGraph in neighbor and rank tables
+    of its own, which each division step patches in place and which grow
+    geometrically; the trace takes its canonical labels when the final
+    graph is first read.  A window's first states are hashed only once the
+    step after them keeps the order, so a division step hashes nothing.
     """
     g = StableGraph.of(g0)
+    room = _GrowingTables()
     orders = [g.order]
-    digest = state_fingerprint(g)
-    seen: dict[str, int] = {digest: 0}
+    seen: dict[str, int] = {}
+    # the first graph of the window, not hashed yet: no states array is
+    # written after its step returns, so holding the graph keeps its states
+    anchor: Optional[tuple[StableGraph, int]] = (g, 0)
     pending: Optional[tuple[int, int, bytes]] = None  # (due step, period, states)
     cycle_period: Optional[int] = None
     stop = None
@@ -264,7 +315,7 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         if deadline is not None and _time.monotonic() >= deadline:
             stop = STOP_WALL_CLOCK
             break
-        out = step(g, rule)
+        out = step(g, rule, room=room)
         g = out.graph
         t += 1
         orders.append(g.order)
@@ -272,11 +323,13 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         if g.order > budget.max_order:
             stop = STOP_MAX_ORDER
             break
-        digest = state_fingerprint(g)
         if out.divisions_performed:
-            seen = {digest: t}
-            pending = None
+            anchor, pending = (g, t), None
             continue
+        if anchor is not None:  # the window restarts at the anchor
+            seen = {state_fingerprint(anchor[0]): anchor[1]}
+            anchor = None
+        digest = state_fingerprint(g)
 
         if pending is not None:
             due, p, snap = pending

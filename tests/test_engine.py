@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gra import _kernels
+from gra import _kernels, engine
 from gra.analysis import ClassifyThresholds
 from gra.engine import (
     Budget,
     StableGraph,
+    _tables_with_room,
     apply_divisions,
     canonical_positions,
     divide_vertex,
@@ -190,9 +191,15 @@ def assert_divide_all_agrees(g, states, div):
     n_div = int(div.sum())
     ref_nb, ref_st = reference_divide_all(g.neighbors, states.copy(), div, n_div)
     Graph._wrap(ref_nb, ref_st).validate()
+    # tables with three spare rows past the room the clones need
+    m = g.order + 2 * n_div
+    room_nb, room_rank = _tables_with_room(StableGraph.of(g), m + 3)
+    room_nb[g.order:], room_rank[g.order:] = -1, 255
     nb, st_, rank, dividers = _kernels.ACTIVE.divide_all(
-        g.neighbors, states.copy(), div, n_div, rank=self_rank(g.neighbors)
+        room_nb, states.copy(), div, n_div, rank=room_rank
     )
+    assert np.shares_memory(nb, room_nb) and np.shares_memory(rank, room_rank)
+    assert (room_nb[m:] == -1).all() and (room_rank[m:] == 255).all()
     assert np.array_equal(dividers, np.flatnonzero(div))
     splits = (g.order, dividers, None)
     out = StableGraph(nb, st_, rank, splits).canonical()
@@ -284,9 +291,8 @@ class TestRuleBits:
         g = canonical_g0()
         div = np.zeros(g.order, dtype=np.uint8)
         div[[1, 5]] = 1
-        *_, dividers = _kernels.ACTIVE.divide_all(
-            g.neighbors, g.states, div, 2, rank=self_rank(g.neighbors)
-        )
+        nb, rank = _tables_with_room(StableGraph.of(g), g.order + 4)
+        *_, dividers = _kernels.ACTIVE.divide_all(nb, g.states, div, 2, rank=rank)
         assert dividers.tolist() == [1, 5]
         assert dividers.base is None
         stable = step(StableGraph.of(g), decode(1026)).graph
@@ -388,6 +394,69 @@ class TestStableIds:
         assert trace.orders.tolist() == orders
         assert trace.stop_reason == stop
         assert trace.cycle_period == period
+
+    @pytest.mark.parametrize(
+        "number, steps, outgrows",
+        [
+            (0xFF00 | 0x96, 5, True),  # every configuration divides: the order triples
+            (2222, 300, False),  # 1-2 dividers a step: capacity doubles now and then
+        ],
+    )
+    def test_evolve_grows_its_tables_like_public_steps(
+        self, monkeypatch, number, steps, outgrows
+    ):
+        grown = []  # (order before the step, rows asked for)
+
+        def recording(g, rows):
+            grown.append((g.order, rows))
+            return tables_with_room(g, rows)
+
+        tables_with_room = engine._tables_with_room
+        monkeypatch.setattr(engine, "_tables_with_room", recording)
+        g, rule = canonical_g0(), decode(number)
+        trace = evolve(g, rule, Budget(max_steps=steps))
+        monkeypatch.undo()
+        orders, stop, period, final = public_step_evolve(g, rule, steps)
+        assert trace.final_graph == final
+        assert trace.orders.tolist() == orders
+        assert (trace.stop_reason, trace.cycle_period) == (stop, period)
+
+        # each growth: capacity max(order after the step, 2 * capacity)
+        capacity = 0
+        for order, rows in grown:
+            m = next(o for o in orders if o > order)
+            assert rows == max(m, 2 * capacity)
+            if capacity:  # the first growth copies g0's tables into m rows
+                assert (rows == m) == outgrows
+            capacity = rows
+        division_steps = int((trace.increments > 0).sum())
+        assert (len(grown) == division_steps) == outgrows
+
+    def test_cycle_from_the_states_a_division_made(self):
+        # rule 48135 divides once, at step 1, and the states that division
+        # made blink with period 2: the cycle starts at the first states of
+        # the window, which evolve hashes only once step 2 keeps the order
+        g, rule = k4_one_alive(), decode(48135)
+        trace = evolve(g, rule, Budget(max_steps=50))
+        orders, stop, period, final = public_step_evolve(g, rule, 50)
+        assert trace.orders.tolist() == orders == [4, 6, 6, 6, 6, 6]
+        assert (trace.stop_reason, trace.cycle_period) == (stop, period) == ("cycle-found", 2)
+        assert trace.final_graph == final
+
+    @pytest.mark.parametrize("in_evolve_tables", [False, True])
+    def test_public_step_leaves_a_dividing_graph_as_it_was(self, in_evolve_tables):
+        # a stable graph from public steps, or one living in the tables evolve grows
+        rule = decode(1026)
+        room = engine._GrowingTables() if in_evolve_tables else None
+        g = StableGraph.of(canonical_g0())
+        for _ in range(4):  # orders 18, 20, 22, 22; step 5 divides
+            g = step(g, rule, room=room).graph
+        tables = (g.neighbors, g.rank, g.states)
+        before = [a.tobytes() for a in tables]
+        first = step(g, rule)
+        assert first.divisions_performed
+        assert [a.tobytes() for a in tables] == before
+        assert step(g, rule).graph.canonical() == first.graph.canonical()
 
     def test_labels_are_built_only_when_read(self, monkeypatch, tmp_path):
         calls = []
