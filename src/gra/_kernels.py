@@ -39,27 +39,21 @@ loops:
     written past the old ones, and the new states are the old ones with
     the appended clones' concatenated.
 
-``step_tables`` has two implementations of the same arithmetic: the numpy
-one sums the configurations in uint8, and the explicit loop is compiled by
-numba when numba is importable.  ``ACTIVE`` is chosen once at import:
-numba's ``step_tables`` when it is importable, numpy's otherwise.  There
-is one ``divide_all``, in numpy.  The uncompiled loop stays importable as
-the reference that differential tests run against.
+Both are numpy.  The engine calls them through ``ACTIVE``, so a tracer
+can wrap them by replacing that tuple.
 """
 
+import importlib.util
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
+# whether numba could be imported, found without importing it; only
+# perfbench reads it, to record with every run
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
-def _np_step_tables(neighbors, states, number):
+def step_tables(neighbors, states, number):
     conf = 4 * states + states[neighbors[:, 0]]  # at most 7, so uint8 holds it
     conf += states[neighbors[:, 1]]
     conf += states[neighbors[:, 2]]
@@ -72,34 +66,13 @@ def _np_step_tables(neighbors, states, number):
     return new_states, div, int(np.count_nonzero(div))
 
 
-def _loop_step_tables(neighbors, states, number):
-    o = states.shape[0]
-    new_states = np.empty(o, np.uint8)
-    div = np.empty(o, np.uint8)
-    lo = number & 0xFF
-    hi = number >> 8
-    n_div = 0
-    for v in range(o):
-        c = (
-            4 * states[v]
-            + states[neighbors[v, 0]]
-            + states[neighbors[v, 1]]
-            + states[neighbors[v, 2]]
-        )
-        new_states[v] = (lo >> c) & 1
-        d = (hi >> c) & 1
-        div[v] = d
-        n_div += int(d)
-    return new_states, div, n_div
-
-
 # clone k's two triangle partners a < b, as clone indices
 _A = np.array([1, 0, 0])
 _B = np.array([2, 2, 1])
 _CLONE = np.arange(3, dtype=np.uint8)
 
 
-def _np_divide_all(neighbors, states, div, n_div, *, rank):
+def divide_all(neighbors, states, div, n_div, *, rank):
     """Divide every flagged vertex in place, in stable ids.
 
     div is uint8 with entries 0 or 1, and states (the new states) has one
@@ -154,14 +127,7 @@ class Backend(NamedTuple):
     divide_all: Callable
 
 
-NUMPY_BACKEND = Backend("numpy", _np_step_tables, _np_divide_all)
-
-if HAS_NUMBA:
-    NUMBA_BACKEND = Backend("numba", njit(cache=True)(_loop_step_tables), _np_divide_all)
-    ACTIVE = NUMBA_BACKEND
-else:
-    NUMBA_BACKEND = None
-    ACTIVE = NUMPY_BACKEND
+ACTIVE = Backend("numpy", step_tables, divide_all)
 
 
 def backend_name() -> str:

@@ -47,6 +47,7 @@ from .analysis import (
 )
 from .errors import (
     EngineInvariantError,
+    GraError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NonBinaryStateError,
@@ -69,12 +70,22 @@ class Budget:
     """Stop conditions for evolve; the first limit reached wins.
 
     wall_clock is in seconds and checked cooperatively before each step;
-    None disables it (required for bit-reproducible runs).
+    None disables it (required for bit-reproducible runs).  A value that
+    cannot bound a run (max_steps < 0, max_order < 1, wall_clock <= 0)
+    raises GraError naming the field.
     """
 
     max_steps: int
     max_order: int = 5_000_000
     wall_clock: Optional[float] = None
+
+    def __post_init__(self):
+        if self.max_steps < 0:
+            raise GraError(f"max_steps must be at least 0, got {self.max_steps}")
+        if self.max_order < 1:
+            raise GraError(f"max_order must be at least 1, got {self.max_order}")
+        if self.wall_clock is not None and not self.wall_clock > 0:
+            raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
 
 
 def step(

@@ -102,17 +102,22 @@ def parse_series_csv(text: str) -> list[int]:
 
     The increment column is not read: a trace derives its increments from
     the orders, so hand-edited or truncated increment columns cannot poison
-    the analysis.
+    the analysis.  A series needs at least one data row, and every order
+    must be positive; ValueError names the line otherwise.
     """
     rows = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not rows or not rows[0][1].lower().startswith("t,"):
         raise ValueError("expected a header row: t,order,increment")
+    if len(rows) == 1:
+        raise ValueError(f"line {rows[0][0]}: a header with no data rows after it")
     orders: list[int] = []
     for lineno, ln in rows[1:]:
         try:
             orders.append(int(ln.split(",")[1]))
         except (IndexError, ValueError):
             raise ValueError(f"line {lineno}: expected t,order,increment, got {ln!r}") from None
+        if orders[-1] < 1:
+            raise ValueError(f"line {lineno}: order must be positive, got {ln!r}")
     return orders
 
 

@@ -3,13 +3,14 @@
 A rule is a 16-bit integer.  Bit i (i in 0..7) gives the next state for a
 vertex in configuration i; bit i+8 flags whether that configuration
 triggers a division.  The step kernel reads those bits from the number
-itself.  The two 8-entry tables a rule is decoded into serve the dense
-oracle in :mod:`gra.dense`, :func:`encode` and :func:`complement_rule`, so
-the oracle checks the kernel against a decoding of its own.
+itself.  A :class:`Rule` holds only its number; the two 8-entry tables it
+decodes into serve the dense oracle in :mod:`gra.dense` and
+:func:`encode`, so the oracle checks the kernel against a decoding of its
+own.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -18,19 +19,31 @@ from .errors import RuleNumberOutOfRangeError
 RULE_SPACE = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
+def _table(n: int, first_bit: int) -> np.ndarray:
+    """Bits first_bit .. first_bit + 7 of n as a read-only uint8 table."""
+    table = np.array([(n >> (first_bit + c)) & 1 for c in range(8)], dtype=np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True)
 class Rule:
+    """A rule number in the rule space; it compares and hashes as its number."""
+
     number: int
-    next_state: np.ndarray  # (8,) uint8, indexed by configuration
-    divides: np.ndarray  # (8,) uint8, indexed by configuration
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Rule):
-            return NotImplemented
-        return self.number == other.number
+    def __post_init__(self):
+        check_rule_number(self.number)
 
-    def __hash__(self) -> int:
-        return hash(self.number)
+    @cached_property
+    def next_state(self) -> np.ndarray:
+        """(8,) uint8, indexed by configuration."""
+        return _table(self.number, 0)
+
+    @cached_property
+    def divides(self) -> np.ndarray:
+        """(8,) uint8, indexed by configuration."""
+        return _table(self.number, 8)
 
     def __repr__(self) -> str:
         return f"Rule({self.number}=0b{self.number:016b})"
@@ -43,15 +56,9 @@ def check_rule_number(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
 def decode(n: int) -> Rule:
-    """Decode a rule number into its two 8-entry tables."""
-    check_rule_number(n)
-    next_state = np.array([(n >> i) & 1 for i in range(8)], dtype=np.uint8)
-    divides = np.array([(n >> (i + 8)) & 1 for i in range(8)], dtype=np.uint8)
-    next_state.flags.writeable = False
-    divides.flags.writeable = False
-    return Rule(number=n, next_state=next_state, divides=divides)
+    """The rule with number n, whose tables are decoded from its bits."""
+    return Rule(n)
 
 
 def encode(rule: Rule) -> int:
@@ -73,11 +80,15 @@ def complement_rule(rule: Rule) -> Rule:
 
     Flipping states maps configuration c to 7-c, so the complement rule
     reads its tables through that involution and flips the produced state:
-    next*(c) = 1 - next(7-c), divides*(c) = divides(7-c).
+    next*(c) = 1 - next(7-c), divides*(c) = divides(7-c).  On the number,
+    bit c becomes 1 - bit(7-c) and bit c+8 becomes bit(15-c).
     """
-    next_state = np.array([1 - int(rule.next_state[7 - c]) for c in range(8)], dtype=np.uint8)
-    divides = np.array([int(rule.divides[7 - c]) for c in range(8)], dtype=np.uint8)
-    return decode(encode(Rule(number=-1, next_state=next_state, divides=divides)))
+    n = rule.number
+    m = 0
+    for c in range(8):
+        m |= (1 - ((n >> (7 - c)) & 1)) << c
+        m |= ((n >> (15 - c)) & 1) << (c + 8)
+    return Rule(m)
 
 
 def parse_rule_number(text: str) -> int:

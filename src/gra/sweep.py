@@ -60,8 +60,8 @@ class SweepConfig:
         repeated = sorted(n for n, k in Counter(self.rule_numbers).items() if k > 1)
         if repeated:
             raise GraError(f"rule number(s) listed twice: {', '.join(map(str, repeated))}")
-        if self.budget.max_steps <= 0 or self.budget.max_order <= 0:
-            raise GraError("budgets must be positive")
+        if self.budget.max_steps < 1:
+            raise GraError("a sweep needs steps: budget.max_steps must be positive")
 
     def initial_graph(self) -> Graph:
         return resolve_initial_graph(self.initial)
@@ -378,10 +378,14 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
     initial = doc.get("initial", "paper-g0")
     if not isinstance(initial, str):
         raise GraError(f"initial must be a string, got {initial!r}")
+    try:
+        budget = Budget(**budget)
+    except GraError as exc:
+        raise GraError(f"budget.{exc}") from None
     return SweepConfig(
         rule_numbers=_parse_rules_field(doc.get("rules", "single-division-subset")),
         initial=initial,
-        budget=Budget(**budget),
+        budget=budget,
         thresholds=ClassifyThresholds(**thresholds),
         workers=_integer(doc.get("workers", 1), "workers"),
     )

@@ -71,6 +71,29 @@ def random_states(order, rng):
     return (rng.random(order) < 0.5).astype(np.uint8)
 
 
+# The state update as an explicit loop over the vertices, kept as the
+# reference for the numpy step_tables: the same arithmetic, vertex by vertex.
+def loop_step_tables(neighbors, states, number):
+    o = states.shape[0]
+    new_states = np.empty(o, np.uint8)
+    div = np.empty(o, np.uint8)
+    lo = number & 0xFF
+    hi = number >> 8
+    n_div = 0
+    for v in range(o):
+        c = (
+            4 * states[v]
+            + states[neighbors[v, 0]]
+            + states[neighbors[v, 1]]
+            + states[neighbors[v, 2]]
+        )
+        new_states[v] = (lo >> c) & 1
+        d = (hi >> c) & 1
+        div[v] = d
+        n_div += int(d)
+    return new_states, div, n_div
+
+
 # The relabelling division kernel, kept as the reference for canonical
 # labels: the final index of old vertex v is v + 2*(dividers below v), and
 # a divider's clones sit on three consecutive indices.

@@ -281,7 +281,7 @@ def test_c9_step_cost_scales_linearly():
 
         _pin_malloc_thresholds()
         rule = decode(2 + (1 << 10))  # divides on configuration 2
-        step(ring_chord_graph(1000, seed=1), rule)  # JIT warmup
+        step(ring_chord_graph(1000, seed=1), rule)  # warmup
         orders = [10_000 * (2**k) for k in range(8)]  # 10k .. 1.28M
         medians = []
         for order in orders:

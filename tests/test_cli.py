@@ -45,6 +45,29 @@ class TestSimulate:
         assert "category=Halted" in out
         assert "period=1" in out
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--steps", "-5"], "max_steps"),
+            (["--max-order", "-1"], "max_order"),
+            (["--max-order", "0"], "max_order"),
+            (["--wall-clock", "-1"], "wall_clock"),
+            (["--wall-clock", "0"], "wall_clock"),
+        ],
+        ids=["steps-negative", "max_order-negative", "max_order-zero",
+             "wall_clock-negative", "wall_clock-zero"],
+    )
+    def test_budget_that_cannot_bound_a_run_refused(self, capsys, flags, field):
+        code, out, err = run(["simulate", "2222", *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be ")
+
+    def test_zero_steps_allowed(self, capsys):
+        code, out, _ = run(["simulate", "2222", "--steps", "0"], capsys)
+        assert code == 0
+        assert out.startswith("rule=2222 steps=0 ")
+
     def test_rule_out_of_range(self, capsys):
         code, _, err = run(["simulate", "70000", "--steps", "5"], capsys)
         assert code == 1
@@ -229,6 +252,28 @@ class TestSweepCommand:
         assert not (tmp_path / "o" / "journal.jsonl").exists()
 
     @pytest.mark.parametrize(
+        "budget, argv, message",
+        [
+            ({"max_steps": 5, "wall_clock": -1}, [], "budget.wall_clock must be positive"),
+            ({"max_steps": -5}, [], "budget.max_steps must be at least 0"),
+            ({"max_steps": 5, "max_order": 0}, [], "budget.max_order must be at least 1"),
+            ({"max_steps": 5}, ["--max-steps", "-5"], "budget.max_steps must be at least 0"),
+            ({"max_steps": 0}, [], "a sweep needs steps"),
+        ],
+        ids=["wall_clock-negative", "max_steps-negative", "max_order-zero",
+             "max_steps-flag-negative", "max_steps-zero"],
+    )
+    def test_budget_that_cannot_bound_a_run_refused(self, tmp_path, capsys, budget, argv, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rules": [0], "budget": budget}))
+        code, _, err = run(
+            ["sweep", "--config", str(config), "--out", str(tmp_path / "o"), *argv], capsys
+        )
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
         "text, key",
         [
             ("[1]", "config"),
@@ -302,6 +347,33 @@ class TestClassifyCommand:
         code, _, err = run(["classify"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--steps", "-5"], "max_steps"), (["--max-order", "0"], "max_order")],
+        ids=["steps-negative", "max_order-zero"],
+    )
+    def test_budget_that_cannot_bound_a_run_refused(self, capsys, flags, field):
+        code, out, err = run(["classify", "--rule", "2222", *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be ")
+
+    def test_header_only_csv_refused(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n")
+        code, out, err = run(["classify", "--csv", str(csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1: a header with no data rows")
+
+    def test_non_positive_order_refused(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n0,4,0\n1,0,-4\n")
+        code, out, err = run(["classify", "--csv", str(csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3: order must be positive")
+
 
 class TestIntervalsCommand:
     def test_histogram(self, tmp_path, capsys):
@@ -319,6 +391,22 @@ class TestIntervalsCommand:
         code, _, err = run(["intervals", "--csv", str(csv)], capsys)
         assert code == 1
         assert err.startswith("error: line 3:")
+
+    def test_header_only_csv_refused(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n")
+        code, out, err = run(["intervals", "--csv", str(csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1: a header with no data rows")
+
+    def test_non_positive_order_refused(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n0,4,0\n1,-2,-6\n")
+        code, out, err = run(["intervals", "--csv", str(csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3: order must be positive")
 
     def test_json_output(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gra
 from gra import _kernels, engine
 from gra.analysis import ClassifyThresholds
 from gra.engine import (
@@ -23,6 +24,7 @@ from gra.engine import (
 )
 from gra.errors import (
     EngineInvariantError,
+    GraError,
     IndexOutOfRangeError,
     LengthMismatchError,
     NonBinaryStateError,
@@ -40,7 +42,7 @@ from gra.graph import (
 from gra.rules import complement_rule, decode
 from gra.sweep import SweepConfig, run_sweep
 
-from helpers import graphs, isomorphic, reference_divide_all, rules
+from helpers import graphs, isomorphic, loop_step_tables, reference_divide_all, rules
 
 # golden 6x6 result of dividing vertex 1 of the one-alive K4
 DIVIDED_K4_ADJACENCY = np.array(
@@ -180,12 +182,6 @@ class TestStep:
         assert lhs == rhs
 
 
-# step_tables: the uncompiled loop is the reference, numba compiles the same code
-BACKENDS = [
-    b for b in (_kernels.NUMPY_BACKEND, _kernels.NUMBA_BACKEND) if b is not None
-]
-
-
 def assert_divide_all_agrees(g, states, div):
     """The kernel's output, canonicalised, equals the relabelling reference."""
     n_div = int(div.sum())
@@ -211,22 +207,22 @@ def assert_divide_all_agrees(g, states, div):
 
 
 class TestBackendEquivalence:
-    """Every backend's kernels give identical arrays on identical inputs."""
+    """The kernels give the same arrays as their references: the explicit
+    loop for step_tables, the relabelling kernel for divide_all."""
 
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_step_tables_agree(self, g, rule):
-        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.number)
-        for be in BACKENDS:
-            out = be.step_tables(g.neighbors, g.states, rule.number)
-            assert np.array_equal(out[0], ref[0]), be.name
-            assert np.array_equal(out[1], ref[1]), be.name
-            assert int(out[2]) == int(ref[2]), be.name
+        ref = loop_step_tables(g.neighbors, g.states, rule.number)
+        out = _kernels.step_tables(g.neighbors, g.states, rule.number)
+        assert np.array_equal(out[0], ref[0])
+        assert np.array_equal(out[1], ref[1])
+        assert int(out[2]) == int(ref[2])
 
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_divide_all_agrees_on_rule_divisions(self, g, rule):
-        new_states, div, n_div = _kernels.NUMPY_BACKEND.step_tables(
+        new_states, div, n_div = _kernels.step_tables(
             g.neighbors, g.states, rule.number
         )
         if n_div:
@@ -250,12 +246,11 @@ class TestBackendEquivalence:
         g = canonical_g0()
         while g.order < 10_000:
             g = step(g, rule).graph
-        ref = _kernels._loop_step_tables(g.neighbors, g.states, rule.number)
-        for be in BACKENDS:
-            out = be.step_tables(g.neighbors, g.states, rule.number)
-            assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype, be.name
-            assert np.array_equal(out[1], ref[1]) and out[1].dtype == ref[1].dtype, be.name
-            assert int(out[2]) == int(ref[2]), be.name
+        ref = loop_step_tables(g.neighbors, g.states, rule.number)
+        out = _kernels.step_tables(g.neighbors, g.states, rule.number)
+        assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype
+        assert np.array_equal(out[1], ref[1]) and out[1].dtype == ref[1].dtype
+        assert int(out[2]) == int(ref[2])
         assert_divide_all_agrees(g, ref[0], ref[1])
         # a mutual pair: u's highest neighbour w divides too
         u = g.order // 2
@@ -267,6 +262,17 @@ class TestBackendEquivalence:
         assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
 
 
+class TestKernelNames:
+    """perfbench's worker reads these on every repetition."""
+
+    def test_backend_is_numpy(self):
+        assert _kernels.backend_name() == "numpy"
+        assert gra.backend_name() == "numpy"
+
+    def test_numba_probe_is_a_bool(self):
+        assert isinstance(_kernels.HAS_NUMBA, bool)
+
+
 class TestRuleBits:
     """step_tables reads the rule number's bits; decode's tables are the check."""
 
@@ -274,7 +280,7 @@ class TestRuleBits:
         g = ring_chord_graph(64)
         assert configuration_census(g).all()  # every configuration occurs
         conf = configuration_vector(g)
-        kernels = [_kernels._loop_step_tables] + [be.step_tables for be in BACKENDS]
+        kernels = [loop_step_tables, _kernels.step_tables]
         # every value of each byte, each time beside a different other byte
         for b in range(256):
             for number in (b | (255 - b) << 8, (255 - b) | b << 8):
@@ -334,6 +340,26 @@ class TestEvolve:
             canonical_g0(), decode(2222), Budget(max_steps=10**9, max_order=10**9, wall_clock=0.2)
         )
         assert trace.stop_reason == "wall-clock"
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"max_steps": -1}, "max_steps"),
+            ({"max_steps": 5, "max_order": 0}, "max_order"),
+            ({"max_steps": 5, "wall_clock": 0.0}, "wall_clock"),
+            ({"max_steps": 5, "wall_clock": -1.0}, "wall_clock"),
+            ({"max_steps": 5, "wall_clock": float("nan")}, "wall_clock"),
+        ],
+        ids=["max_steps-negative", "max_order-zero", "wall_clock-zero",
+             "wall_clock-negative", "wall_clock-nan"],
+    )
+    def test_budget_that_cannot_bound_a_run_refused(self, kwargs, field):
+        with pytest.raises(GraError, match=f"^{field} must be "):
+            Budget(**kwargs)
+
+    def test_zero_step_budget_is_valid(self):
+        trace = evolve(canonical_g0(), decode(2222), Budget(max_steps=0, max_order=1))
+        assert trace.steps == 0 and trace.stop_reason == "max-steps"
 
     def test_increments_even_nonnegative(self):
         trace = evolve(canonical_g0(), decode(770), Budget(max_steps=200))

@@ -89,3 +89,12 @@ class TestSeriesCsv:
     def test_header_required(self):
         with pytest.raises(ValueError):
             parse_series_csv("0,4,0\n1,6,2\n")
+
+    def test_header_without_data_rows_refused(self):
+        with pytest.raises(ValueError, match="^line 1: a header with no data rows"):
+            parse_series_csv("t,order,increment\n")
+
+    @pytest.mark.parametrize("order", ["0", "-4"])
+    def test_non_positive_order_names_its_line(self, order):
+        with pytest.raises(ValueError, match="^line 3: order must be positive"):
+            parse_series_csv(f"t,order,increment\n0,4,0\n1,{order},0\n")

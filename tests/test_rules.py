@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gra.errors import RuleNumberOutOfRangeError
 from gra.rules import (
+    Rule,
     complement_rule,
     decode,
     encode,
@@ -38,6 +39,24 @@ class TestDecode:
     def test_out_of_range(self, bad):
         with pytest.raises(RuleNumberOutOfRangeError):
             decode(bad)
+
+
+class TestRule:
+    def test_equality_and_hash_follow_the_number(self):
+        assert Rule(765) == decode(765) and hash(Rule(765)) == hash(decode(765))
+        assert Rule(765) != Rule(766)
+        assert len({decode(n) for n in (0, 0, 765, 765)}) == 2
+
+    def test_tables_are_read_only(self):
+        r = decode(2222)
+        for table in (r.next_state, r.divides):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    @pytest.mark.parametrize("bad", [-1, 65536])
+    def test_number_out_of_range(self, bad):
+        with pytest.raises(RuleNumberOutOfRangeError):
+            Rule(bad)
 
 
 class TestEncode:
@@ -80,6 +99,14 @@ class TestComplementRule:
         assert c.number == 255
         assert c.next_state.all()
         assert not c.divides.any()
+
+    def test_tables_exhaustive(self):
+        # next*(c) = 1 - next(7-c) and divides*(c) = divides(7-c), for every rule
+        for n in range(65536):
+            r = decode(n)
+            comp = complement_rule(r)
+            assert np.array_equal(comp.next_state, 1 - r.next_state[::-1]), n
+            assert np.array_equal(comp.divides, r.divides[::-1]), n
 
     def test_subset_divides_moves_to_alive_half(self):
         for n in single_division_subset():

@@ -314,6 +314,20 @@ class TestConfigFiles:
         with pytest.raises(GraError, match=rf"^{re.escape(key)}\b.*must be an integer"):
             config_from_dict(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "budget, key",
+        [
+            ({"max_steps": 5, "wall_clock": -1}, "wall_clock"),
+            ({"max_steps": 5, "wall_clock": 0}, "wall_clock"),
+            ({"max_steps": -1}, "max_steps"),
+            ({"max_steps": 5, "max_order": 0}, "max_order"),
+        ],
+        ids=["wall_clock-negative", "wall_clock-zero", "max_steps-negative", "max_order-zero"],
+    )
+    def test_budget_that_cannot_bound_a_run_refused(self, budget, key):
+        with pytest.raises(GraError, match=rf"^budget\.{key} must be "):
+            config_from_dict({"rules": [0], "budget": budget})
+
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
             config_from_dict({"rules": [0]})
