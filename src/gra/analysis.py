@@ -23,10 +23,13 @@ class EvolutionTrace:
 
     orders has length steps+1 (orders[t] is the order at time t).
     cycle_period is set only when evolve confirmed an exact state cycle
-    (stop_reason "cycle-found").  build_final_graph makes the last graph,
-    under canonical labels; it runs on the first read of final_graph,
-    which is None for recorded series, and is dropped once it has
-    returned, so a read trace no longer holds what it built from.
+    (stop_reason "cycle-found").  build_final_graph makes the last graph
+    built, under canonical labels; it runs on the first read of
+    final_graph, which is None for recorded series, and is dropped once it
+    has returned, so a read trace no longer holds what it built from.  On
+    "max-order" the last graph built is the one at step steps - 1, of order
+    orders[-2]: evolve records the order that passed the budget without
+    building its graph.  On any other stop it is of order final_order.
     """
 
     orders: np.ndarray

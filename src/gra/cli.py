@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wall-clock", type=float, default=None, help="seconds")
     p.add_argument("--csv", help="write t,order,increment series here")
     p.add_argument("--trace-json", help="write the JSON trace summary here")
-    p.add_argument("--export", help="write the final graph here")
+    p.add_argument(
+        "--export", help="write the final graph here (on max-order, the last one within it)"
+    )
     p.add_argument("--export-format", choices=EXPORT_FORMATS)
     p.set_defaults(func=_simulate)
 

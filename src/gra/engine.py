@@ -61,7 +61,9 @@ CYCLE_WINDOW_CAP = 100_000
 
 @dataclass(frozen=True)
 class StepOutcome:
-    graph: Union[Graph, "StableGraph"]
+    """graph is None when the step was refused for passing max_order."""
+
+    graph: Optional[Union[Graph, "StableGraph"]]
     divisions_performed: int
 
 
@@ -69,6 +71,8 @@ class StepOutcome:
 class Budget:
     """Stop conditions for evolve; the first limit reached wins.
 
+    max_order ends the run at the first step whose order would pass it;
+    that order is recorded, but the graph of that order is never built.
     wall_clock is in seconds and checked cooperatively before each step;
     None disables it (required for bit-reproducible runs).  A value that
     cannot bound a run (max_steps < 0, max_order < 1, wall_clock <= 0)
@@ -89,16 +93,24 @@ class Budget:
 
 
 def step(
-    g: Union[Graph, "StableGraph"], rule: Rule, *, room: Optional[Callable] = None
+    g: Union[Graph, "StableGraph"],
+    rule: Rule,
+    *,
+    room: Optional[Callable] = None,
+    max_order: Optional[int] = None,
 ) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph.
 
     A StableGraph stays in stable ids; any other graph comes back under
     canonical labels.  room, for a StableGraph, is passed on to
-    :meth:`StableGraph.advanced`.
+    :meth:`StableGraph.advanced`.  If the step's order, g.order plus two
+    per division, would pass max_order, no graph is built: the outcome's
+    graph is None and divisions_performed still counts the divisions.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
     n_div = int(n_div)
+    if max_order is not None and g.order + 2 * n_div > max_order:
+        return StepOutcome(graph=None, divisions_performed=n_div)
     if isinstance(g, StableGraph):
         out = g.advanced(new_states, div, n_div, room)
     elif n_div:
@@ -197,15 +209,18 @@ class _GrowingTables:
     Called as the room of :meth:`StableGraph.advanced` with the graph last
     made in them (or, the first time, any graph), it returns them, grown
     first if they hold fewer than rows rows.  The capacity grows to
-    max(rows, 2 * capacity), so a run copies its tables O(log order) times;
-    the pages of rows not yet written are not paged in.
+    max(rows, min(max_order, 2 * capacity)), so a run copies its tables
+    O(log order) times, and never past max_order rows unless asked for
+    more; the pages of rows not yet written are not paged in.
     """
 
-    capacity = 0
+    def __init__(self, max_order: int):
+        self.max_order = max_order
+        self.capacity = 0
 
     def __call__(self, g: StableGraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if rows > self.capacity:
-            self.capacity = max(rows, 2 * self.capacity)
+            self.capacity = max(rows, min(self.max_order, 2 * self.capacity))
             self.neighbors, self.rank = _tables_with_room(g, self.capacity)
         return self.neighbors, self.rank
 
@@ -296,16 +311,19 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     match only nominates a candidate period; it is confirmed by evolving
     that many further steps and comparing exact state vectors, then reduced
     to the minimal period.  Budget exhaustion is a normal outcome recorded
-    in the trace.
+    in the trace.  On max-order, the last order recorded is the one that
+    passed budget.max_order, and the final graph is the one before it:
+    :func:`step` refuses the step without building its graph.
 
     The loop holds the graph as a StableGraph in neighbor and rank tables
     of its own, which each division step patches in place and which grow
-    geometrically; the trace takes its canonical labels when the final
-    graph is first read.  A window's first states are hashed only once the
-    step after them keeps the order, so a division step hashes nothing.
+    geometrically up to budget.max_order rows; the trace takes its
+    canonical labels when the final graph is first read.  A window's first
+    states are hashed only once the step after them keeps the order, so a
+    division step hashes nothing.
     """
     g = StableGraph.of(g0)
-    room = _GrowingTables()
+    room = _GrowingTables(budget.max_order)
     orders = [g.order]
     seen: dict[str, int] = {}
     # the first graph of the window, not hashed yet: no states array is
@@ -326,14 +344,14 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         if deadline is not None and _time.monotonic() >= deadline:
             stop = STOP_WALL_CLOCK
             break
-        out = step(g, rule, room=room)
-        g = out.graph
+        out = step(g, rule, room=room, max_order=budget.max_order)
         t += 1
-        orders.append(g.order)
-
-        if g.order > budget.max_order:
+        orders.append(g.order + 2 * out.divisions_performed)
+        if out.graph is None:
             stop = STOP_MAX_ORDER
             break
+        g = out.graph
+
         if out.divisions_performed:
             anchor, pending = (g, t), None
             continue

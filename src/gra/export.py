@@ -9,7 +9,6 @@ import enum
 import json
 from dataclasses import asdict
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .analysis import EvolutionTrace
 from .graph import Graph, graph_to_edge_text
@@ -54,7 +53,7 @@ def graph_to_graphml(g: Graph) -> str:
         color = ALIVE_COLOR if alive else DEAD_COLOR
         lines.append(f'    <node id="n{v}">')
         lines.append(f'      <data key="state">{alive}</data>')
-        lines.append(f'      <data key="color">{escape(color)}</data>')
+        lines.append(f'      <data key="color">{color}</data>')
         lines.append("    </node>")
     for i, (u, v) in enumerate(g.edges()):
         lines.append(f'    <edge id="e{i}" source="n{u}" target="n{v}"/>')

@@ -39,6 +39,17 @@ class TestSimulate:
         assert text.startswith("graph G {") and text.rstrip().endswith("}")
         assert "rule=765" in out
 
+    def test_max_order_exports_the_last_graph_within_it(self, tmp_path, capsys):
+        trace_json, graph = tmp_path / "trace.json", tmp_path / "final.graph"
+        argv = ["simulate", "256", "--steps", "50", "--max-order", "1000",
+                "--trace-json", str(trace_json), "--export", str(graph)]
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        doc = json.loads(trace_json.read_text())
+        assert doc["stop_reason"] == "max-order" and doc["final_order"] > 1000
+        # rule 256 triples the order from t=1 on
+        assert load_graph(str(graph)).order * 3 == doc["final_order"]
+
     def test_rule_zero_reports_halt(self, capsys):
         code, out, _ = run(["simulate", "0", "--steps", "50"], capsys)
         assert code == 0

@@ -244,8 +244,11 @@ class TestBackendEquivalence:
         # rule 1026 from paper-g0 gives a graph far past the hypothesis orders
         rule = decode(1026)
         g = canonical_g0()
-        while g.order < 10_000:
+        for _ in range(100):  # it passes 10,000 at step 51
+            if g.order >= 10_000:
+                break
             g = step(g, rule).graph
+        assert g.order >= 10_000
         ref = loop_step_tables(g.neighbors, g.states, rule.number)
         out = _kernels.step_tables(g.neighbors, g.states, rule.number)
         assert np.array_equal(out[0], ref[0]) and out[0].dtype == ref[0].dtype
@@ -376,8 +379,17 @@ class TestEvolve:
         assert trace.cycle_period == 2
 
     def test_final_graph_matches_orders(self):
-        trace = evolve(canonical_g0(), decode(300), Budget(max_steps=25))
+        # on max-steps the final graph is the one of the last order recorded
+        trace = evolve(canonical_g0(), decode(300), Budget(max_steps=8))
+        assert trace.stop_reason == "max-steps"
         assert trace.final_graph.order == trace.final_order
+        # on max-order the order that passed the budget is recorded, and the
+        # final graph is the last one built, within it
+        budget = Budget(max_steps=25)
+        trace = evolve(canonical_g0(), decode(300), budget)
+        assert trace.stop_reason == "max-order"
+        assert trace.final_order == 6_908_740
+        assert trace.final_graph.order == trace.orders[-2] <= budget.max_order
 
 
 # rules that divide in every configuration: vertices split again and again,
@@ -385,16 +397,20 @@ class TestEvolve:
 all_divide_rules = st.integers(0xFF00, 0xFFFF).map(decode)
 
 
-def public_step_evolve(g, rule, max_steps):
+def public_step_evolve(g, rule, budget):
     """evolve's contract from public steps and exact state comparison:
-    (orders, stop reason, cycle period, final graph)."""
+    (orders, stop reason, cycle period, final graph).  The first step
+    whose order passes budget.max_order ends the run: its order is
+    recorded, and the final graph is the one from before it."""
     orders = [g.order]
     seen = {g.states.tobytes(): 0}
     due = period = None
-    for t in range(1, max_steps + 1):
+    for t in range(1, budget.max_steps + 1):
         out = step(g, rule)
+        orders.append(out.graph.order)
+        if out.graph.order > budget.max_order:
+            return orders, "max-order", None, g
         g = out.graph
-        orders.append(g.order)
         key = g.states.tobytes()
         if out.divisions_performed:
             seen, due = {key: t}, None
@@ -414,12 +430,48 @@ class TestStableIds:
     @given(graphs(), st.one_of(rules, all_divide_rules), st.integers(0, 6))
     @settings(max_examples=120, deadline=None)
     def test_evolve_matches_public_steps(self, g, rule, k):
-        trace = evolve(g, rule, Budget(max_steps=k))
-        orders, stop, period, final = public_step_evolve(g, rule, k)
+        budget = Budget(max_steps=k)
+        trace = evolve(g, rule, budget)
+        orders, stop, period, final = public_step_evolve(g, rule, budget)
         assert trace.final_graph == final
         assert trace.orders.tolist() == orders
         assert trace.stop_reason == stop
         assert trace.cycle_period == period
+
+    @given(graphs(), st.one_of(rules, all_divide_rules), st.integers(0, 8), st.integers(1, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_evolve_stops_on_max_order_like_public_steps(self, g, rule, k, max_order):
+        # max_order may sit below g0's order: the first step then passes it
+        budget = Budget(max_steps=k, max_order=max_order)
+        trace = evolve(g, rule, budget)
+        orders, stop, period, final = public_step_evolve(g, rule, budget)
+        assert trace.orders.tolist() == orders
+        assert trace.stop_reason == stop
+        assert trace.cycle_period == period
+        assert trace.final_graph == final
+
+    @pytest.mark.parametrize(
+        "number, max_order", [(0xFF96, 1_000), (0xFF96, 5_000), (1026, 3_000)]
+    )
+    def test_evolve_never_builds_past_max_order(self, monkeypatch, number, max_order):
+        rows = []  # of every table divide_all returns, and every capacity grown to
+
+        def divide_all(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            rows.append(out[1].shape[0])
+            return out
+
+        def recording(g, capacity):
+            rows.append(capacity)
+            return tables_with_room(g, capacity)
+
+        kernel, tables_with_room = _kernels.ACTIVE.divide_all, engine._tables_with_room
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(divide_all=divide_all))
+        monkeypatch.setattr(engine, "_tables_with_room", recording)
+        trace = evolve(canonical_g0(), decode(number), Budget(max_steps=500, max_order=max_order))
+        assert trace.stop_reason == "max-order" and trace.final_order > max_order
+        assert rows and max(rows) <= max_order
+        assert trace.final_graph.order == trace.orders[-2]
 
     @pytest.mark.parametrize(
         "number, steps, outgrows",
@@ -440,9 +492,10 @@ class TestStableIds:
         tables_with_room = engine._tables_with_room
         monkeypatch.setattr(engine, "_tables_with_room", recording)
         g, rule = canonical_g0(), decode(number)
-        trace = evolve(g, rule, Budget(max_steps=steps))
+        budget = Budget(max_steps=steps)
+        trace = evolve(g, rule, budget)
         monkeypatch.undo()
-        orders, stop, period, final = public_step_evolve(g, rule, steps)
+        orders, stop, period, final = public_step_evolve(g, rule, budget)
         assert trace.final_graph == final
         assert trace.orders.tolist() == orders
         assert (trace.stop_reason, trace.cycle_period) == (stop, period)
@@ -463,8 +516,9 @@ class TestStableIds:
         # made blink with period 2: the cycle starts at the first states of
         # the window, which evolve hashes only once step 2 keeps the order
         g, rule = k4_one_alive(), decode(48135)
-        trace = evolve(g, rule, Budget(max_steps=50))
-        orders, stop, period, final = public_step_evolve(g, rule, 50)
+        budget = Budget(max_steps=50)
+        trace = evolve(g, rule, budget)
+        orders, stop, period, final = public_step_evolve(g, rule, budget)
         assert trace.orders.tolist() == orders == [4, 6, 6, 6, 6, 6]
         assert (trace.stop_reason, trace.cycle_period) == (stop, period) == ("cycle-found", 2)
         assert trace.final_graph == final
@@ -473,7 +527,7 @@ class TestStableIds:
     def test_public_step_leaves_a_dividing_graph_as_it_was(self, in_evolve_tables):
         # a stable graph from public steps, or one living in the tables evolve grows
         rule = decode(1026)
-        room = engine._GrowingTables() if in_evolve_tables else None
+        room = engine._GrowingTables(1_000) if in_evolve_tables else None
         g = StableGraph.of(canonical_g0())
         for _ in range(4):  # orders 18, 20, 22, 22; step 5 divides
             g = step(g, rule, room=room).graph

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gra
 from gra.analysis import EvolutionTrace
 from gra.engine import divide_vertex
 from gra.export import (
@@ -49,6 +54,21 @@ class TestGraphml:
         ns = "{http://graphml.graphdrawing.org/xmlns}"
         states = [d.text for d in root.findall(f".//{ns}data") if d.get("key") == "state"]
         assert states == ["1", "0", "0", "0"]
+
+
+def test_import_pulls_in_no_network_modules():
+    # GraphML colors are constants with nothing to escape; xml.sax.saxutils
+    # would bring urllib.request, http.client and ssl into every import
+    src = str(Path(gra.__file__).resolve().parents[1])
+    probe = (
+        "import sys, gra; "
+        "print(sorted({'xml.sax', 'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestEdgeList:
