@@ -2,13 +2,13 @@
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWindowError
+from .errors import DegenerateWindowError, GraError, check_number
 from .graph import Graph
 
 STOP_CYCLE = "cycle-found"
@@ -76,6 +76,9 @@ class ClassifyThresholds:
     """Knobs of the classification decision procedure.
 
     Recorded in every report so results stay interpretable if they change.
+    GraError names the field of a value of the wrong type (a bool is none)
+    or out of range: a band that is not two numbers lo <= hi, a
+    window_fraction outside (0, 1], a periodicity_cap below 1.
     """
 
     theta_linear: float = 0.999
@@ -88,6 +91,23 @@ class ClassifyThresholds:
     # model wins; wide enough that a power fit with exponent ~1 cannot
     # edge out the linear model on genuinely linear data
     tie_epsilon: float = 1e-4
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "quadratic_exponent_band":
+                check_number(getattr(self, f.name), f.name, integer=f.type is int)
+        band = self.quadratic_exponent_band
+        if not isinstance(band, (list, tuple)) or len(band) != 2:
+            raise GraError(f"quadratic_exponent_band must be two numbers, got {band!r}")
+        for bound in band:
+            check_number(bound, "quadratic_exponent_band")
+        if band[0] > band[1]:
+            raise GraError(f"quadratic_exponent_band must be [lo, hi] with lo <= hi, got {band!r}")
+        object.__setattr__(self, "quadratic_exponent_band", tuple(band))
+        if not 0 < self.window_fraction <= 1:
+            raise GraError(f"window_fraction must be in (0, 1], got {self.window_fraction!r}")
+        if self.periodicity_cap < 1:
+            raise GraError(f"periodicity_cap must be at least 1, got {self.periodicity_cap}")
 
 
 @dataclass

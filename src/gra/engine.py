@@ -51,6 +51,7 @@ from .errors import (
     IndexOutOfRangeError,
     LengthMismatchError,
     NonBinaryStateError,
+    check_number,
 )
 from .graph import Graph, state_fingerprint
 from .rules import Rule
@@ -74,9 +75,9 @@ class Budget:
     max_order ends the run at the first step whose order would pass it;
     that order is recorded, but the graph of that order is never built.
     wall_clock is in seconds and checked cooperatively before each step;
-    None disables it (required for bit-reproducible runs).  A value that
-    cannot bound a run (max_steps < 0, max_order < 1, wall_clock <= 0)
-    raises GraError naming the field.
+    None disables it (required for bit-reproducible runs).  A value of the
+    wrong type (a bool is none) or one that cannot bound a run (max_steps
+    < 0, max_order < 1, wall_clock <= 0) raises GraError naming the field.
     """
 
     max_steps: int
@@ -84,6 +85,10 @@ class Budget:
     wall_clock: Optional[float] = None
 
     def __post_init__(self):
+        check_number(self.max_steps, "max_steps", integer=True)
+        check_number(self.max_order, "max_order", integer=True)
+        if self.wall_clock is not None:
+            check_number(self.wall_clock, "wall_clock")
         if self.max_steps < 0:
             raise GraError(f"max_steps must be at least 0, got {self.max_steps}")
         if self.max_order < 1:

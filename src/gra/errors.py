@@ -1,4 +1,6 @@
-"""Exception hierarchy for the gra package."""
+"""Exception hierarchy for the gra package, and the shared type check."""
+
+import numbers
 
 
 class GraError(Exception):
@@ -51,3 +53,11 @@ class ConfigMismatchError(GraError):
 
 class EngineInvariantError(GraError):
     """Internal consistency guard tripped; indicates an engine bug."""
+
+
+def check_number(value, name: str, *, integer: bool = False) -> None:
+    """GraError naming name unless value is a real number, or with integer
+    set an integer; a bool is neither."""
+    kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise GraError(f"{name} must be {noun}, got {value!r}")

@@ -208,14 +208,17 @@ def parse_graph_text(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "states":
-            if states is not None:
-                raise GraphValidationError(f"line {lineno}: duplicate states line")
-            states = [int(p) for p in parts[1:]]
-        else:
-            if len(parts) != 2:
-                raise GraphValidationError(f"line {lineno}: expected 'u v' or 'states ...'")
-            edges.append((int(parts[0]), int(parts[1])))
+        try:
+            if parts[0] == "states":
+                if states is not None:
+                    raise GraphValidationError(f"line {lineno}: duplicate states line")
+                states = [int(p) for p in parts[1:]]
+            else:
+                if len(parts) != 2:
+                    raise GraphValidationError(f"line {lineno}: expected 'u v' or 'states ...'")
+                edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphValidationError(f"line {lineno}: not an integer in {line!r}") from None
     if states is None:
         raise GraphValidationError("missing states line")
     return build_graph(edges, states)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RuleNumberOutOfRangeError
+from .errors import RuleNumberOutOfRangeError, check_number
 
 RULE_SPACE = 1 << 16
 
@@ -49,8 +49,9 @@ class Rule:
         return f"Rule({self.number}=0b{self.number:016b})"
 
 
-def check_rule_number(n: int) -> int:
-    """n itself; RuleNumberOutOfRangeError when it is outside the rule space."""
+def check_rule_number(n: int, name: str = "rule number") -> int:
+    """n itself; GraError naming name unless it is an integer in the rule space."""
+    check_number(n, name, integer=True)
     if not 0 <= n < RULE_SPACE:
         raise RuleNumberOutOfRangeError(f"rule number {n} outside [0, {RULE_SPACE - 1}]")
     return n

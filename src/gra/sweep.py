@@ -12,17 +12,16 @@ an uninterrupted run.
 import hashlib
 import io
 import json
-import numbers
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
 from .analysis import ClassifyThresholds, GrowthCategory, GrowthFits, classify
 from .engine import Budget, evolve
-from .errors import ConfigMismatchError, GraError
+from .errors import ConfigMismatchError, GraError, check_number
 from .export import as_record, dump_json
 from .graph import Graph, graph_digest, resolve_initial_graph
 from .rules import check_rule_number, decode, parse_rule_number, single_division_subset
@@ -56,12 +55,17 @@ class SweepConfig:
         if not self.rule_numbers:
             raise GraError("empty sweep: no rule numbers")
         for n in self.rule_numbers:
-            check_rule_number(n)
+            check_rule_number(n, "rules entry")
         repeated = sorted(n for n, k in Counter(self.rule_numbers).items() if k > 1)
         if repeated:
             raise GraError(f"rule number(s) listed twice: {', '.join(map(str, repeated))}")
         if self.budget.max_steps < 1:
             raise GraError("a sweep needs steps: budget.max_steps must be positive")
+        if not isinstance(self.initial, str):
+            raise GraError(f"initial must be a string, got {self.initial!r}")
+        check_number(self.workers, "workers", integer=True)
+        if self.workers < 1:
+            raise GraError(f"workers must be at least 1, got {self.workers}")
 
     def initial_graph(self) -> Graph:
         return resolve_initial_graph(self.initial)
@@ -290,104 +294,59 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
 # config files and shipped presets
 # --------------------------------------------------------------------------
 
-def _integer(value, key: str) -> int:
-    """value as an int when it is an integer; GraError naming key when it is
-    anything else, a float or a bool included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise GraError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, key: str):
-    """value when it is a real number; GraError naming key otherwise, a bool
-    included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise GraError(f"{key} must be a number, got {value!r}")
-    return value
-
-
-def _object(value, key: str) -> dict:
-    """A copy of value when it is a JSON object; GraError naming key otherwise."""
+def _merged(value, name: str, known, overrides: dict) -> dict:
+    """The JSON object value with overrides merged over it; GraError naming
+    name when value is not an object or the merge names a key outside known."""
     if not isinstance(value, dict):
-        raise GraError(f"{key} must be an object, got {value!r}")
-    return dict(value)
+        raise GraError(f"{name} must be an object, got {value!r}")
+    doc = {**value, **overrides}
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise GraError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return doc
 
 
-def _parse_rules_field(value) -> list[int]:
+def _section(cls, value, name: str, overrides: dict):
+    """cls from the config section value with overrides merged over it; a
+    refusal names the section: name, or name.field when cls refuses that
+    field's value."""
+    doc = _merged(value, name, {f.name for f in fields(cls)}, overrides)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in doc:
+            raise GraError(f"config must set {name}.{f.name}")
+    try:
+        return cls(**doc)
+    except GraError as exc:
+        raise GraError(f"{name}.{exc}") from None
+
+
+def _parse_rules_field(value) -> list:
     if value == "single-division-subset":
         return single_division_subset()
     if isinstance(value, list):
-        return [
-            parse_rule_number(item) if isinstance(item, str) else _integer(item, "rules entry")
-            for item in value
-        ]
+        return [parse_rule_number(item) if isinstance(item, str) else item for item in value]
     raise GraError(f"bad rules field: {value!r}")
-
-
-def _known_keys(doc: dict, known, section: str) -> None:
-    """Refuse doc when it names a key outside known."""
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise GraError(f"unknown {section} key(s): {', '.join(unknown)}")
-
-
-def _thresholds(section) -> dict:
-    """The thresholds section, its keys and each value's type checked."""
-    doc = _object(section, "thresholds")
-    _known_keys(doc, {f.name for f in fields(ClassifyThresholds)}, "thresholds")
-    for key, value in doc.items():
-        name = f"thresholds.{key}"
-        if key == "quadratic_exponent_band":
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise GraError(f"{name} must be two numbers, got {value!r}")
-            doc[key] = tuple(_number(v, name) for v in value)
-        elif key == "periodicity_cap":
-            doc[key] = _integer(value, name)
-        else:
-            _number(value, name)
-    return doc
 
 
 def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig:
     """Build a SweepConfig from a parsed config document.
 
-    overrides (CLI flags) win over file values key by key.  The top-level
-    keys are rules, initial, budget, thresholds and workers; budget and
-    thresholds keys are the fields of Budget and ClassifyThresholds.  Any
-    other key, and any value of the wrong type, raises GraError naming the
-    key."""
-    doc = _object(doc, "config")
+    overrides (CLI flags) win over file values key by key; None sets
+    nothing.  The top-level keys are rules, initial, budget, thresholds and
+    workers; budget and thresholds keys are the fields of Budget and
+    ClassifyThresholds.  Any other key raises GraError naming it.  Values
+    are checked by SweepConfig, Budget and ClassifyThresholds themselves,
+    and a value they refuse raises GraError naming its key."""
     budget_keys = {f.name for f in fields(Budget)}
-    budget = _object(doc.get("budget", {}), "budget")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            if key in budget_keys:
-                budget[key] = value
-            else:
-                doc[key] = value
-    _known_keys(doc, ("rules", "initial", "budget", "thresholds", "workers"), "config")
-    _known_keys(budget, budget_keys, "budget")
-    if "max_steps" not in budget:
-        raise GraError("config must set budget.max_steps")
-    for key in ("max_steps", "max_order"):
-        if key in budget:
-            budget[key] = _integer(budget[key], f"budget.{key}")
-    if budget.get("wall_clock") is not None:
-        _number(budget["wall_clock"], "budget.wall_clock")
-    thresholds = _thresholds(doc.get("thresholds", {}))
-    initial = doc.get("initial", "paper-g0")
-    if not isinstance(initial, str):
-        raise GraError(f"initial must be a string, got {initial!r}")
-    try:
-        budget = Budget(**budget)
-    except GraError as exc:
-        raise GraError(f"budget.{exc}") from None
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    budget_flags = {key: flags.pop(key) for key in budget_keys & set(flags)}
+    doc = _merged(doc, "config", ("rules", "initial", "budget", "thresholds", "workers"), flags)
     return SweepConfig(
         rule_numbers=_parse_rules_field(doc.get("rules", "single-division-subset")),
-        initial=initial,
-        budget=budget,
-        thresholds=ClassifyThresholds(**thresholds),
-        workers=_integer(doc.get("workers", 1), "workers"),
+        initial=doc.get("initial", "paper-g0"),
+        budget=_section(Budget, doc.get("budget", {}), "budget", budget_flags),
+        thresholds=_section(ClassifyThresholds, doc.get("thresholds", {}), "thresholds", {}),
+        workers=doc.get("workers", 1),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gra.analysis import (
     zero_growth_intervals,
 )
 from gra.engine import Budget, evolve
-from gra.errors import DegenerateWindowError
+from gra.errors import DegenerateWindowError, GraError
 from gra.export import as_record
 from gra.graph import build_graph
 from gra.rules import decode
@@ -272,3 +273,31 @@ class TestClassify:
         th = ClassifyThresholds(theta_linear=0.9)
         trace = trace_from_increments([2] * 300)
         assert classify(trace, th).thresholds.theta_linear == 0.9
+
+
+class TestClassifyThresholds:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"periodicity_cap": 1.5}, "periodicity_cap must be an integer"),
+            ({"periodicity_cap": 0}, "periodicity_cap must be at least 1"),
+            ({"window_fraction": "0.5"}, "window_fraction must be a number"),
+            ({"window_fraction": 5}, "window_fraction must be in (0, 1]"),
+            ({"window_fraction": 0}, "window_fraction must be in (0, 1]"),
+            ({"window_fraction": -1}, "window_fraction must be in (0, 1]"),
+            ({"theta_linear": True}, "theta_linear must be a number"),
+            ({"quadratic_exponent_band": (1.7,)}, "quadratic_exponent_band must be two numbers"),
+            ({"quadratic_exponent_band": (1.7, "2.5")}, "quadratic_exponent_band must be a number"),
+            ({"quadratic_exponent_band": (2.5, 1.7)}, "quadratic_exponent_band must be [lo, hi]"),
+        ],
+        ids=["cap-float", "cap-zero", "window-string", "window-five", "window-zero",
+             "window-negative", "theta-bool", "band-one-number", "band-string", "band-reversed"],
+    )
+    def test_bad_value_refused(self, kwargs, message):
+        with pytest.raises(GraError, match=f"^{re.escape(message)}"):
+            ClassifyThresholds(**kwargs)
+
+    def test_band_stored_as_tuple(self):
+        th = ClassifyThresholds(quadratic_exponent_band=[1.5, 3])
+        assert th.quadratic_exponent_band == (1.5, 3)
+        assert th == ClassifyThresholds(quadratic_exponent_band=(1.5, 3))

@@ -131,6 +131,21 @@ class TestExportCommand:
 
         assert load_graph(out_path) == canonical_g0()
 
+    @pytest.mark.parametrize("command", ["export", "simulate"])
+    def test_graph_file_token_that_is_not_an_integer_names_its_line(
+        self, tmp_path, capsys, command
+    ):
+        graph = tmp_path / "bad.graph"
+        graph.write_text("0 1\n0 x\n0 3\n1 2\n1 3\n2 3\nstates 1 0 0 0\n")
+        argv = {
+            "export": ["export", str(graph), str(tmp_path / "g.dot")],
+            "simulate": ["simulate", "0", "--steps", "5", "--initial", str(graph)],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: not an integer in '0 x'\n"
+
     def test_repeat_export_identical(self, tmp_path, capsys):
         p1 = tmp_path / "a.graphml"
         p2 = tmp_path / "b.graphml"
@@ -314,6 +329,30 @@ class TestSweepCommand:
         code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
         assert code == 1
         assert err.startswith(f"error: {key} must be ")
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            ({}, ["--workers", "0"], "workers must be at least 1"),
+            ({"workers": -3}, [], "workers must be at least 1"),
+            ({"thresholds": {"window_fraction": 5}}, [], "thresholds.window_fraction must be in"),
+            (
+                {"thresholds": {"quadratic_exponent_band": [2.5, 1.7]}}, [],
+                "thresholds.quadratic_exponent_band must be [lo, hi]",
+            ),
+        ],
+        ids=["workers-flag-zero", "workers-negative", "window-five", "band-reversed"],
+    )
+    def test_value_out_of_range_refused(self, tmp_path, capsys, doc, argv, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rules": [0], "budget": {"max_steps": 5}, **doc}))
+        code, out, err = run(
+            ["sweep", "--config", str(config), "--out", str(tmp_path / "o"), *argv], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
         assert not (tmp_path / "o" / "journal.jsonl").exists()
 
     def test_failed_rule_exits_internal(self, tmp_path, capsys, monkeypatch):

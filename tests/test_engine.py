@@ -352,9 +352,14 @@ class TestEvolve:
             ({"max_steps": 5, "wall_clock": 0.0}, "wall_clock"),
             ({"max_steps": 5, "wall_clock": -1.0}, "wall_clock"),
             ({"max_steps": 5, "wall_clock": float("nan")}, "wall_clock"),
+            ({"max_steps": 2.5}, "max_steps"),
+            ({"max_steps": True}, "max_steps"),
+            ({"max_steps": 5, "max_order": 1e6}, "max_order"),
+            ({"max_steps": 5, "wall_clock": "60"}, "wall_clock"),
         ],
         ids=["max_steps-negative", "max_order-zero", "wall_clock-zero",
-             "wall_clock-negative", "wall_clock-nan"],
+             "wall_clock-negative", "wall_clock-nan", "max_steps-float", "max_steps-bool",
+             "max_order-float", "wall_clock-string"],
     )
     def test_budget_that_cannot_bound_a_run_refused(self, kwargs, field):
         with pytest.raises(GraError, match=f"^{field} must be "):

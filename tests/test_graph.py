@@ -204,6 +204,18 @@ class TestGraphFiles:
         with pytest.raises(GraphValidationError):
             parse_graph_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("0 1\n0 x\n0 3\n1 2\n1 3\n2 3\nstates 1 0 0 0\n", 2),
+            ("# K4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\nstates 1 0 two 0\n", 8),
+        ],
+        ids=["edge", "states"],
+    )
+    def test_token_that_is_not_an_integer_names_its_line(self, text, lineno):
+        with pytest.raises(GraphValidationError, match=f"^line {lineno}: not an integer"):
+            parse_graph_text(text)
+
     @given(graphs())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, g):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gra.errors import RuleNumberOutOfRangeError
+from gra.errors import GraError, RuleNumberOutOfRangeError
 from gra.rules import (
     Rule,
     complement_rule,
@@ -38,6 +38,11 @@ class TestDecode:
     @pytest.mark.parametrize("bad", [-1, 65536, 1 << 20])
     def test_out_of_range(self, bad):
         with pytest.raises(RuleNumberOutOfRangeError):
+            decode(bad)
+
+    @pytest.mark.parametrize("bad", [True, 2222.0, "2222"], ids=["bool", "float", "string"])
+    def test_non_integer_refused(self, bad):
+        with pytest.raises(GraError, match=f"^rule number must be an integer, got {bad!r}$"):
             decode(bad)
 
 

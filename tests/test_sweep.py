@@ -65,6 +65,23 @@ class TestRunSweep:
         with pytest.raises(GraError, match="listed twice: 0$"):
             small_config(rule_numbers=[0, 0, 256])
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"workers": 0}, "workers must be at least 1"),
+            ({"workers": -3}, "workers must be at least 1"),
+            ({"workers": 2.0}, "workers must be an integer"),
+            ({"rule_numbers": [256.0]}, "rules entry must be an integer, got 256.0"),
+            ({"rule_numbers": [0, True]}, "rules entry must be an integer, got True"),
+            ({"initial": 5}, "initial must be a string"),
+        ],
+        ids=["workers-zero", "workers-negative", "workers-float", "rule-float", "rule-bool",
+             "initial-number"],
+    )
+    def test_bad_value_refused(self, kwargs, message):
+        with pytest.raises(GraError, match=f"^{re.escape(message)}"):
+            small_config(**kwargs)
+
     def test_matches_standalone_evolution(self):
         from gra.analysis import classify
         from gra.engine import evolve
@@ -327,6 +344,24 @@ class TestConfigFiles:
     def test_budget_that_cannot_bound_a_run_refused(self, budget, key):
         with pytest.raises(GraError, match=rf"^budget\.{key} must be "):
             config_from_dict({"rules": [0], "budget": budget})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"workers": 0}, "workers must be at least 1"),
+            ({"thresholds": {"window_fraction": 5}}, "thresholds.window_fraction must be in"),
+            ({"thresholds": {"window_fraction": 0}}, "thresholds.window_fraction must be in"),
+            ({"thresholds": {"periodicity_cap": 0}}, "thresholds.periodicity_cap must be at least"),
+            (
+                {"thresholds": {"quadratic_exponent_band": [2.5, 1.7]}},
+                "thresholds.quadratic_exponent_band must be [lo, hi]",
+            ),
+        ],
+        ids=["workers-zero", "window-five", "window-zero", "cap-zero", "band-reversed"],
+    )
+    def test_value_out_of_range_refused(self, doc, message):
+        with pytest.raises(GraError, match=f"^{re.escape(message)}"):
+            config_from_dict({"rules": [0], "budget": {"max_steps": 5}, **doc})
 
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
