@@ -76,9 +76,10 @@ class ClassifyThresholds:
     """Knobs of the classification decision procedure.
 
     Recorded in every report so results stay interpretable if they change.
-    GraError names the field of a value of the wrong type (a bool is none)
-    or out of range: a band that is not two numbers lo <= hi, a
-    window_fraction outside (0, 1], a periodicity_cap below 1.
+    GraError names the field of a value of the wrong type (a bool or NaN is
+    none) or out of range: a theta above 1, which no adjusted R2 meets, a
+    band that is not two numbers lo <= hi, a window_fraction outside (0, 1],
+    a periodicity_cap below 1, a negative or infinite tie_epsilon.
     """
 
     theta_linear: float = 0.999
@@ -96,6 +97,8 @@ class ClassifyThresholds:
         for f in fields(self):
             if f.name != "quadratic_exponent_band":
                 check_number(getattr(self, f.name), f.name, integer=f.type is int)
+            if f.name.startswith("theta_") and getattr(self, f.name) > 1:
+                raise GraError(f"{f.name} must be at most 1, got {getattr(self, f.name)!r}")
         band = self.quadratic_exponent_band
         if not isinstance(band, (list, tuple)) or len(band) != 2:
             raise GraError(f"quadratic_exponent_band must be two numbers, got {band!r}")
@@ -108,6 +111,8 @@ class ClassifyThresholds:
             raise GraError(f"window_fraction must be in (0, 1], got {self.window_fraction!r}")
         if self.periodicity_cap < 1:
             raise GraError(f"periodicity_cap must be at least 1, got {self.periodicity_cap}")
+        if not 0 <= self.tie_epsilon < math.inf:
+            raise GraError(f"tie_epsilon must be finite and at least 0, got {self.tie_epsilon!r}")
 
 
 @dataclass
@@ -126,24 +131,14 @@ class GrowthClassification:
 def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> int:
     """Reduce a known return time to the minimal period.
 
-    ``advance(k)`` must return the state vector k steps after
-    initial_states.  Requires advance(period_bound) == initial_states.
-    """
-    q = period_bound
-    n = period_bound
-    f = 2
-    factors = []
-    while f * f <= n:
-        while n % f == 0:
-            factors.append(f)
-            n //= f
-        f += 1
-    if n > 1:
-        factors.append(n)
-    for f in set(factors):
-        while q % f == 0 and np.array_equal(advance(q // f), initial_states):
-            q //= f
-    return q
+    ``advance(k)`` must return the state vector k steps after initial_states,
+    and advance(period_bound) must equal initial_states.  The periods of a
+    cycle are the multiples of the minimal one, so it is the smallest
+    divisor q of period_bound with advance(q) == initial_states."""
+    for q in range(1, period_bound):
+        if period_bound % q == 0 and np.array_equal(advance(q), initial_states):
+            return q
+    return period_bound
 
 
 # --------------------------------------------------------------------------

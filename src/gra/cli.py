@@ -32,14 +32,18 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 
-def _simulate(args) -> int:
+def _run(args, wall_clock=None):
+    """Evolve args.rule from args.initial under --steps and --max-order, and
+    classify the trace: (rule, initial graph, trace, classification)."""
     rule = decode(parse_rule_number(args.rule))
     g0 = resolve_initial_graph(args.initial)
-    budget = Budget(
-        max_steps=args.steps, max_order=args.max_order, wall_clock=args.wall_clock
-    )
+    budget = Budget(max_steps=args.steps, max_order=args.max_order, wall_clock=wall_clock)
     trace = evolve(g0, rule, budget)
-    cls = classify(trace)
+    return rule, g0, trace, classify(trace)
+
+
+def _simulate(args) -> int:
+    rule, g0, trace, cls = _run(args, args.wall_clock)
     if args.csv:
         Path(args.csv).write_text(trace_to_csv(trace), encoding="utf-8")
     if args.trace_json:
@@ -128,11 +132,7 @@ def _classify(args) -> int:
     else:
         if args.rule is None:
             raise GraError("classify needs --csv or --rule")
-        rule = decode(parse_rule_number(args.rule))
-        g0 = resolve_initial_graph(args.initial)
-        budget = Budget(max_steps=args.steps, max_order=args.max_order)
-        trace = evolve(g0, rule, budget)
-        cls = classify(trace)
+        *_, cls = _run(args)
     return _print_json(as_record(cls), args.json)
 
 
@@ -156,12 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph-rewriting automata on binary-state 3-regular graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # the flags _run reads
+    run.add_argument("--steps", type=int, default=1000, help="step budget")
+    run.add_argument("--initial", default="paper-g0", help="builtin name or graph file")
+    run.add_argument("--max-order", type=int, default=Budget.max_order)
 
-    p = sub.add_parser("simulate", help="evolve one rule and export the results")
+    p = sub.add_parser("simulate", parents=[run], help="evolve one rule and export the results")
     p.add_argument("rule", help="rule number, decimal or prefixed binary (0b...)")
-    p.add_argument("--steps", type=int, default=1000, help="step budget")
-    p.add_argument("--initial", default="paper-g0", help="builtin name or graph file")
-    p.add_argument("--max-order", type=int, default=Budget.max_order)
     p.add_argument("--wall-clock", type=float, default=None, help="seconds")
     p.add_argument("--csv", help="write t,order,increment series here")
     p.add_argument("--trace-json", help="write the JSON trace summary here")
@@ -188,12 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=EXPORT_FORMATS)
     p.set_defaults(func=_export)
 
-    p = sub.add_parser("classify", help="classify a growth series or a fresh run")
+    p = sub.add_parser("classify", parents=[run], help="classify a growth series or a fresh run")
     p.add_argument("--csv", help="recorded t,order,increment series")
     p.add_argument("--rule", help="rule number to run instead of reading a CSV")
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--initial", default="paper-g0")
-    p.add_argument("--max-order", type=int, default=Budget.max_order)
     p.add_argument("--json", help="also write the classification here")
     p.set_defaults(func=_classify)
 

@@ -8,8 +8,6 @@ engine (different data structure, different algorithm, one division at a
 time instead of a batch over stable ids) and is only meant for modest orders.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from .engine import StepOutcome
@@ -87,12 +85,11 @@ def reference_apply_divisions_dense(
         d = np.repeat(d, reps)
 
 
-def reference_step_dense(
-    g: Graph, rule: Rule, cap: Optional[int] = DEFAULT_ORACLE_CAP
-) -> StepOutcome:
-    """Same observable result as engine.step, computed on dense matrices."""
-    if cap is not None and g.order > cap:
-        raise OracleCapExceededError(f"order {g.order} exceeds oracle cap {cap}")
+def reference_step_dense(g: Graph, rule: Rule) -> StepOutcome:
+    """Same observable result as engine.step, computed on dense matrices;
+    OracleCapExceededError for a graph above DEFAULT_ORACLE_CAP vertices."""
+    if g.order > DEFAULT_ORACLE_CAP:
+        raise OracleCapExceededError(f"order {g.order} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
     a, s = dense_from_graph(g)
     s64 = s.astype(np.int64)
     conf = 4 * s64 + a.astype(np.int64) @ s64

@@ -57,7 +57,7 @@ class EngineInvariantError(GraError):
 
 def check_number(value, name: str, *, integer: bool = False) -> None:
     """GraError naming name unless value is a real number, or with integer
-    set an integer; a bool is neither."""
+    set an integer; a bool is neither, and NaN is not a number."""
     kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind) or value != value:
         raise GraError(f"{name} must be {noun}, got {value!r}")

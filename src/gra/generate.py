@@ -24,10 +24,9 @@ def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) 
     return Graph._wrap(neighbors, states)
 
 
-def random_regular_graph(
-    order: int, seed: int = 0, alive_probability: float = 0.5, swaps: int | None = None
-) -> Graph:
-    """Random simple 3-regular graph via double edge swaps on a circulant base.
+def random_regular_graph(order: int, seed: int = 0, alive_probability: float = 0.5) -> Graph:
+    """Random simple 3-regular graph via 3*order attempted double edge swaps
+    on a circulant base.
 
     A swap replaces edges (a, b), (c, d) by (a, d), (c, b) when the result
     stays simple, preserving 3-regularity.  Intended for correctness tests
@@ -38,9 +37,8 @@ def random_regular_graph(
     rng = np.random.default_rng(seed)
     base = ring_chord_graph(order)
     edges = set(base.edges())
-    n_swaps = swaps if swaps is not None else 3 * order
     edge_list = list(edges)
-    for _ in range(n_swaps):
+    for _ in range(3 * order):
         i, j = rng.integers(0, len(edge_list), size=2)
         if i == j:
             continue

@@ -172,9 +172,13 @@ def _diff(observed: dict, reference: dict, keys) -> dict:
     }
 
 
-def _rule_record(rule_number: int, g0: Graph, budget: Budget, thresholds: ClassifyThresholds) -> dict:
-    trace = evolve(g0, decode(rule_number), budget)
-    cls = classify(trace, thresholds)
+def _worker(args) -> dict:
+    rule_number, g0, budget, thresholds = args
+    try:
+        trace = evolve(g0, decode(rule_number), budget)
+        cls = classify(trace, thresholds)
+    except Exception as exc:  # recorded, never aborts the sweep
+        return as_record(RuleRecord(rule=rule_number, error=f"{type(exc).__name__}: {exc}"))
     return as_record(RuleRecord(
         rule=rule_number,
         category=cls.category,
@@ -185,14 +189,6 @@ def _rule_record(rule_number: int, g0: Graph, budget: Budget, thresholds: Classi
         steps=trace.steps,
         stop_reason=trace.stop_reason,
     ))
-
-
-def _worker(args) -> dict:
-    rule_number, g0, budget, thresholds = args
-    try:
-        return _rule_record(rule_number, g0, budget, thresholds)
-    except Exception as exc:  # recorded, never aborts the sweep
-        return as_record(RuleRecord(rule=rule_number, error=f"{type(exc).__name__}: {exc}"))
 
 
 def _journal_line(obj) -> bytes:
@@ -352,7 +348,10 @@ def config_from_dict(doc: dict, overrides: Optional[dict] = None) -> SweepConfig
 
 def load_config(path, overrides: Optional[dict] = None) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise GraError(f"config file {path} is not JSON: {exc}") from None
     return config_from_dict(doc, overrides)
 
 
@@ -375,7 +374,8 @@ def format_census_table(report: SweepReport) -> str:
         lines.append(f"{'total':<16}{sum(counts.values()):>8}")
     else:
         lines += _diff_rows("category", diff["categories"])
-        lines.append(f"{'total':<16}{sum(counts.values()):>10}{1024:>11}")
+        reference = sum(BASELINE_CATEGORY_COUNTS.values())
+        lines.append(f"{'total':<16}{sum(counts.values()):>10}{reference:>11}")
         lines.append("")
         lines += _diff_rows("cycle period", diff["periods"])
     return "\n".join(lines)

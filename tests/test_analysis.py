@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gra import engine
 from gra.analysis import (
@@ -101,6 +102,22 @@ class TestDetectCycle:
         trace = evolve(g, decode(0), Budget(max_steps=0))
         assert trace.steps == 0
         assert trace.cycle_period is None
+
+
+class TestMinimalPeriod:
+    @given(st.integers(1, 12), st.integers(1, 12))
+    def test_bound_reduces_to_the_period(self, m, k):
+        # m distinct states in a cycle, first confirmed after k full turns;
+        # only divisors of the bound are worth advancing to
+        seq = [np.array([t], dtype=np.uint8) for t in range(m)]
+        asked = []
+
+        def advance(q):
+            asked.append(q)
+            return seq[q % m]
+
+        assert minimal_period(seq[0], advance, k * m) == m
+        assert all(k * m % q == 0 for q in asked)
 
 
 class TestFinalGraph:
@@ -289,9 +306,18 @@ class TestClassifyThresholds:
             ({"quadratic_exponent_band": (1.7,)}, "quadratic_exponent_band must be two numbers"),
             ({"quadratic_exponent_band": (1.7, "2.5")}, "quadratic_exponent_band must be a number"),
             ({"quadratic_exponent_band": (2.5, 1.7)}, "quadratic_exponent_band must be [lo, hi]"),
+            ({"theta_linear": math.nan}, "theta_linear must be a number"),
+            ({"theta_power": 1.5}, "theta_power must be at most 1"),
+            (
+                {"quadratic_exponent_band": (1.7, math.nan)},
+                "quadratic_exponent_band must be a number",
+            ),
+            ({"tie_epsilon": -5.0}, "tie_epsilon must be finite and at least 0"),
+            ({"tie_epsilon": math.inf}, "tie_epsilon must be finite and at least 0"),
         ],
         ids=["cap-float", "cap-zero", "window-string", "window-five", "window-zero",
-             "window-negative", "theta-bool", "band-one-number", "band-string", "band-reversed"],
+             "window-negative", "theta-bool", "band-one-number", "band-string", "band-reversed",
+             "theta-nan", "theta-above-one", "band-nan", "tie-negative", "tie-infinite"],
     )
     def test_bad_value_refused(self, kwargs, message):
         with pytest.raises(GraError, match=f"^{re.escape(message)}"):

@@ -331,6 +331,14 @@ class TestSweepCommand:
         assert err.startswith(f"error: {key} must be ")
         assert not (tmp_path / "o" / "journal.jsonl").exists()
 
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"rules": [0], "budget": {"max_steps": 5}')
+        code, _, err = run(["sweep", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert err.startswith(f"error: config file {config} is not JSON: ")
+        assert not (tmp_path / "o" / "journal.jsonl").exists()
+
     @pytest.mark.parametrize(
         "doc, argv, message",
         [
@@ -341,8 +349,15 @@ class TestSweepCommand:
                 {"thresholds": {"quadratic_exponent_band": [2.5, 1.7]}}, [],
                 "thresholds.quadratic_exponent_band must be [lo, hi]",
             ),
+            (
+                {"thresholds": {"theta_linear": float("nan")}}, [],
+                "thresholds.theta_linear must be a number",
+            ),
+            ({"thresholds": {"theta_linear": 1.5}}, [], "thresholds.theta_linear must be at most"),
+            ({"thresholds": {"tie_epsilon": -5.0}}, [], "thresholds.tie_epsilon must be finite"),
         ],
-        ids=["workers-flag-zero", "workers-negative", "window-five", "band-reversed"],
+        ids=["workers-flag-zero", "workers-negative", "window-five", "band-reversed",
+             "theta-nan", "theta-above-one", "tie-negative"],
     )
     def test_value_out_of_range_refused(self, tmp_path, capsys, doc, argv, message):
         config = tmp_path / "config.json"

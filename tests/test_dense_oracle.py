@@ -103,4 +103,4 @@ class TestDenseStep:
     def test_cap(self):
         g = ring_chord_graph(3000)
         with pytest.raises(OracleCapExceededError):
-            reference_step_dense(g, decode(765), cap=2000)
+            reference_step_dense(g, decode(765))

@@ -25,6 +25,7 @@ GOLDEN = {
     "journal.jsonl": "8799c176f27c11c5a1c1cc47efe7a7bb",
     "trace.json": "f996a973dbd12686eb4a7137a03baff3",
     "final.graph": "bf20213ebd680ee16d4880abd318f055",
+    "classify.json": "436704114e356222f74d534ab03eb589",
 }
 
 # graph_digest of rule 2222's graph at t=6,000 from paper-g0 (order 3,844)
@@ -57,6 +58,13 @@ def test_simulate_export_graph(tmp_path, capsys):
     assert main(["simulate", "2222", "--steps", "300", "--export", str(path)]) == 0
     capsys.readouterr()
     assert _digest(path) == GOLDEN["final.graph"]
+
+
+def test_classify_rule_json(tmp_path, capsys):
+    path = tmp_path / "classify.json"
+    assert main(["classify", "--rule", "2222", "--steps", "300", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert _digest(path) == GOLDEN["classify.json"]
 
 
 def test_evolved_graph_labels():
