@@ -128,17 +128,22 @@ class GrowthClassification:
 # cycle period
 # --------------------------------------------------------------------------
 
-def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> int:
-    """Reduce a known return time to the minimal period.
+def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> Optional[int]:
+    """The minimal period of a cycle that may return after period_bound steps.
 
-    ``advance(k)`` must return the state vector k steps after initial_states,
-    and advance(period_bound) must equal initial_states.  The periods of a
-    cycle are the multiples of the minimal one, so it is the smallest
-    divisor q of period_bound with advance(q) == initial_states."""
-    for q in range(1, period_bound):
-        if period_bound % q == 0 and np.array_equal(advance(q), initial_states):
-            return q
-    return period_bound
+    ``advance(k)`` returns the state vector k steps after initial_states,
+    or None if those steps leave the cycle's frozen topology.  The periods
+    of a cycle are the multiples of the minimal one, so it is the smallest
+    divisor q of period_bound, period_bound included, with advance(q) ==
+    initial_states.  None means period_bound is no period."""
+    for q in range(1, period_bound + 1):
+        if period_bound % q == 0:
+            states = advance(q)
+            if states is None:
+                return None
+            if np.array_equal(states, initial_states):
+                return q
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -209,14 +214,14 @@ def fit_growth(
     Adjusted R2 is computed in the original data space for all three so the
     models are comparable.  ``window`` is a half-open (start, stop) range of
     time steps; the whole series by default.  Raises DegenerateWindowError
-    when fewer than 10 points are available.
+    when it leaves the series or holds fewer than 10 points.
     """
     o = np.asarray(orders, dtype=np.float64)
     if window is None:
         window = (0, len(o))
     start, stop = window
-    if stop - start < 10:
-        raise DegenerateWindowError(f"fit window [{start}, {stop}) has fewer than 10 points")
+    if start < 0 or stop > len(o) or stop - start < 10:
+        raise DegenerateWindowError(f"fit window [{start}, {stop}) needs 10 points within [0, {len(o)})")
     t = np.arange(start, stop, dtype=np.float64)
     y = o[start:stop]
     if (y <= 0).any():

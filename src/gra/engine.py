@@ -296,15 +296,15 @@ def apply_divisions(g: Graph, d) -> Graph:
     return StableGraph.of(g).advanced(g.states, d, n_div).canonical()
 
 
-def _advance_states(g: StableGraph, rule: Rule, k: int) -> np.ndarray:
-    """States k steps ahead of g, asserting the topology stays frozen."""
-    cur = g
+def _advance_states(g: StableGraph, rule: Rule, k: int) -> Optional[np.ndarray]:
+    """States k steps ahead of g, or None if one of those steps divides
+    (in evolve's closing scan that means a digest collision)."""
     for _ in range(k):
-        out = step(cur, rule)
+        out = step(g, rule)
         if out.divisions_performed:
-            raise EngineInvariantError("division inside a confirmed cycle window")
-        cur = out.graph
-    return cur.states
+            return None
+        g = out.graph
+    return g.states
 
 
 def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
@@ -313,11 +313,16 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     Cycle search: state fingerprints are mapped to steps within the current
     constant-order window (any division restarts the window, since the
     order never decreases a cycle must have frozen topology).  A digest
-    match only nominates a candidate period; it is confirmed by evolving
-    that many further steps and comparing exact state vectors, then reduced
-    to the minimal period.  Budget exhaustion is a normal outcome recorded
-    in the trace.  On max-order, the last order recorded is the one that
-    passed budget.max_order, and the final graph is the one before it:
+    match at step t against step t - p, with t + p within max_steps, is
+    its window's first repeated state unless it is a collision: one
+    :func:`minimal_period` call steps the divisors of p ahead, comparing
+    exact state vectors, and confirms the cycle or refuses the match.  A
+    confirmed cycle's graph at t + p is its graph at t, so the trace adds
+    p steps of the same order and stops there; the deadline, checked
+    before each step of the loop, is not checked inside that scan.
+    Budget exhaustion is a normal outcome recorded in the trace.  On
+    max-order, the last order recorded is the one that passed
+    budget.max_order, and the final graph is the one before it:
     :func:`step` refuses the step without building its graph.
 
     The loop holds the graph as a StableGraph in neighbor and rank tables
@@ -330,59 +335,36 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     g = StableGraph.of(g0)
     room = _GrowingTables(budget.max_order)
     orders = [g.order]
-    seen: dict[str, int] = {}
-    # the first graph of the window, not hashed yet: no states array is
-    # written after its step returns, so holding the graph keeps its states
-    anchor: Optional[tuple[StableGraph, int]] = (g, 0)
-    pending: Optional[tuple[int, int, bytes]] = None  # (due step, period, states)
+    seen: Optional[dict[str, int]] = None  # None until the window's first step
     cycle_period: Optional[int] = None
-    stop = None
-    deadline = None
-    if budget.wall_clock is not None:
-        deadline = _time.monotonic() + budget.wall_clock
+    stop = STOP_MAX_STEPS
+    deadline = None if budget.wall_clock is None else _time.monotonic() + budget.wall_clock
 
-    t = 0
-    while True:
-        if t >= budget.max_steps:
-            stop = STOP_MAX_STEPS
-            break
+    for t in range(1, budget.max_steps + 1):
         if deadline is not None and _time.monotonic() >= deadline:
             stop = STOP_WALL_CLOCK
             break
         out = step(g, rule, room=room, max_order=budget.max_order)
-        t += 1
         orders.append(g.order + 2 * out.divisions_performed)
         if out.graph is None:
             stop = STOP_MAX_ORDER
             break
-        g = out.graph
-
         if out.divisions_performed:
-            anchor, pending = (g, t), None
+            g, seen = out.graph, None
             continue
-        if anchor is not None:  # the window restarts at the anchor
-            seen = {state_fingerprint(anchor[0]): anchor[1]}
-            anchor = None
+        if seen is None:  # a step that keeps the order writes no table of g
+            seen = {state_fingerprint(g): t - 1}
+        g = out.graph
         digest = state_fingerprint(g)
-
-        if pending is not None:
-            due, p, snap = pending
-            if t == due:
-                if g.states.tobytes() == snap:
-                    cycle_period = minimal_period(
-                        g.states, lambda k: _advance_states(g, rule, k), p
-                    )
-                    stop = STOP_CYCLE
-                    break
-                pending = None  # digest collision, keep scanning
-        if pending is None and digest in seen:
-            p = t - seen[digest]
-            pending = (t + p, p, g.states.tobytes())
-        if digest not in seen:
-            seen[digest] = t
+        p = t - seen.setdefault(digest, t)
+        if p and t + p <= budget.max_steps:
+            cycle_period = minimal_period(g.states, lambda k: _advance_states(g, rule, k), p)
+            if cycle_period is not None:
+                orders += [g.order] * p
+                stop = STOP_CYCLE
+                break
         if len(seen) > CYCLE_WINDOW_CAP:
             seen = {digest: t}
-            pending = None
 
     return EvolutionTrace(
         orders=np.asarray(orders, dtype=np.int64),

@@ -119,6 +119,15 @@ class TestMinimalPeriod:
         assert minimal_period(seq[0], advance, k * m) == m
         assert all(k * m % q == 0 for q in asked)
 
+    def test_bound_that_is_no_period_gives_none(self):
+        # a 3-cycle never returns after 4 steps, nor after 1 or 2
+        seq = [np.array([t], dtype=np.uint8) for t in range(3)]
+        assert minimal_period(seq[0], lambda q: seq[q % 3], 4) is None
+
+    def test_advance_that_leaves_the_cycle_gives_none(self):
+        # advance returns None when a step inside the scan divides
+        assert minimal_period(np.array([0], dtype=np.uint8), lambda q: None, 6) is None
+
 
 class TestFinalGraph:
     def test_failed_read_keeps_the_builder(self):
@@ -172,6 +181,15 @@ class TestFitGrowth:
     def test_window_too_short(self):
         with pytest.raises(DegenerateWindowError):
             fit_growth([4, 6, 8, 10, 12])
+
+    @pytest.mark.parametrize(
+        "n, window",
+        [(5, (0, 20)), (29, (-5, 20)), (29, (10, 30))],
+        ids=["past-end", "negative-start", "one-past-end"],
+    )
+    def test_window_outside_the_series_refused(self, n, window):
+        with pytest.raises(DegenerateWindowError, match=r"^fit window \["):
+            fit_growth(range(1, n + 1), window=window)
 
     def test_best_prefers_simpler_on_tie(self):
         orders = [5 + 3 * t for t in range(101)]

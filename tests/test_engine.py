@@ -614,3 +614,39 @@ class TestStableIds:
                 branch, expected = step(branch, rule).graph, step(expected, rule).graph
             assert branch.canonical() == expected
         assert stable.canonical() == public
+
+
+def one_bit_fingerprint(g):
+    """A digest that collides on half of all state vectors."""
+    return str(int(g.states.sum()) & 1)
+
+
+class TestCycleConfirmation:
+    """One minimal_period call confirms each cycle, and refuses collisions."""
+
+    @given(graphs(max_order=16), rules, st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_one_bit_digests_still_give_true_traces(self, g, rule, k):
+        budget = Budget(max_steps=k, max_order=2_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "state_fingerprint", one_bit_fingerprint)
+            trace = evolve(g, rule, budget)
+        # replay with public steps: the same orders and the same final graph
+        final = g
+        for t in range(1, trace.steps + 1):
+            out = step(final, rule)
+            assert out.graph.order == trace.orders[t]
+            if out.graph.order <= budget.max_order:
+                final = out.graph
+        assert trace.final_graph == final
+        if trace.stop_reason == "max-steps":
+            assert trace.steps == k
+        if trace.stop_reason == "cycle-found":
+            # brute force: the states first return after cycle_period steps
+            returns, cur = [], final
+            for _ in range(trace.cycle_period):
+                out = step(cur, rule)
+                assert out.divisions_performed == 0
+                cur = out.graph
+                returns.append(np.array_equal(cur.states, final.states))
+            assert returns == [False] * (trace.cycle_period - 1) + [True]

@@ -11,6 +11,7 @@ from gra.errors import (
     SelfLoopError,
 )
 from gra.graph import (
+    Graph,
     build_graph,
     canonical_g0,
     complement_states,
@@ -28,6 +29,7 @@ from gra.rules import decode, single_division_subset
 from helpers import graphs
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+PRISM_EDGES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
 
 # pinned golden digest of the frozen starting graph data file
 G0_DIGEST = "b7b1345936a880e58933fe1584edc6f7"
@@ -73,6 +75,43 @@ class TestBuildGraph:
         edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)]
         with pytest.raises(NotThreeRegularError):
             build_graph(edges, (0, 0, 0, 0, 0))
+
+
+def _with(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+class TestValidate:
+    """Graph.validate refuses each broken invariant with its own class.
+
+    Each case breaks one invariant of the prism, whose row 0 is (1, 2, 3),
+    and passes every check before the one it targets, so no check covers
+    for another."""
+
+    @pytest.mark.parametrize(
+        "corrupt, error, message",
+        [
+            (lambda nb, st: (nb[:2], st[:2]), GraphValidationError, "^order 2 < 4$"),
+            (lambda nb, st: (nb[:5], st[:5]), NotThreeRegularError, "^odd order 5"),
+            (lambda nb, st: (nb[:, :2], st), GraphValidationError, "^neighbor table shape"),
+            (lambda nb, st: (_with(nb, (0, 2), 6), st), IndexOutOfRangeError, "out of range"),
+            (lambda nb, st: (nb, _with(st, 0, 2)), NonBinaryStateError, "0 or 1"),
+            (lambda nb, st: (_with(nb, 0, [2, 1, 3]), st), GraphValidationError, "ascending"),
+            (lambda nb, st: (_with(nb, 0, [0, 2, 3]), st), SelfLoopError, "self-loop"),
+            (lambda nb, st: (_with(nb, 0, [1, 2, 4]), st), GraphValidationError, "not symmetric"),
+        ],
+        ids=["too-small", "odd-order", "shape", "index", "state", "ascending", "self-loop",
+             "asymmetric"],
+    )
+    def test_each_broken_invariant_is_refused(self, corrupt, error, message):
+        g = build_graph(PRISM_EDGES, (1, 0, 0, 1, 1, 0))
+        g.validate()
+        nb, st = corrupt(g.neighbors.copy(), g.states.copy())
+        with pytest.raises(error, match=message) as caught:
+            Graph(neighbors=nb, states=st).validate()
+        assert type(caught.value) is error
 
 
 class TestConfigurationVector:
@@ -214,6 +253,20 @@ class TestGraphFiles:
     )
     def test_token_that_is_not_an_integer_names_its_line(self, text, lineno):
         with pytest.raises(GraphValidationError, match=f"^line {lineno}: not an integer"):
+            parse_graph_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\nstates 1 0 0 0\nstates 1 0 0 0\n",
+             "^line 8: duplicate states line$"),
+            ("0 1\n0 2\n0 3 1\n1 2\n1 3\n2 3\nstates 1 0 0 0\n",
+             "^line 3: expected 'u v' or 'states ...'$"),
+        ],
+        ids=["duplicate-states", "three-tokens"],
+    )
+    def test_malformed_line_names_its_line(self, text, message):
+        with pytest.raises(GraphValidationError, match=message):
             parse_graph_text(text)
 
     @given(graphs())

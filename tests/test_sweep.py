@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+import time
 
 import pytest
 
@@ -374,6 +376,17 @@ class TestConfigFiles:
         assert len(smoke.rule_numbers) == 1024
         assert smoke.budget.max_steps < full.budget.max_steps
         assert smoke.budget.wall_clock is None
+        assert full.budget.wall_clock is None
+
+    def test_full_preset_census_does_not_depend_on_the_clock(self, monkeypatch):
+        # a clock that jumps 1,000 s per read must not move any record
+        overrides = {"rules": [0, 770, 2182, 2222], "max_steps": 150, "max_order": 50_000,
+                     "workers": 1}
+        config = load_preset("single-division-1024", overrides)
+        steady = run_sweep(config).to_json()
+        clock = itertools.count(step=1_000.0)
+        monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+        assert run_sweep(config).to_json() == steady
 
     def test_unknown_preset(self):
         with pytest.raises(GraError):
@@ -393,5 +406,5 @@ class TestConfigFiles:
             "590d5fe8df5785549f82a86318b51041"
         )
         assert load_preset("single-division-1024").fingerprint() == (
-            "4b836ca695be3b9cb397c64a5c724d78"
+            "e69108d40938c6e70bd0370200210151"
         )
