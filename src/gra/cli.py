@@ -79,6 +79,8 @@ def _sweep(args) -> int:
         "max_order": args.max_order,
         "initial": args.initial,
     }
+    if args.preset and args.config:
+        raise GraError("sweep takes --preset or --config, not both")
     if args.preset:
         config = load_preset(args.preset, overrides)
     elif args.config:
@@ -127,6 +129,8 @@ def _read_series(path) -> EvolutionTrace:
 
 
 def _classify(args) -> int:
+    if args.csv and args.rule is not None:
+        raise GraError("classify takes --csv or --rule, not both")
     if args.csv:
         cls = classify(_read_series(args.csv))
     else:

@@ -1,11 +1,11 @@
 """Dense-matrix reference implementation, used as a differential-test oracle.
 
-Everything here is a literal transcription of the matrix procedure: the
-configuration vector is 4*S + A.S, states and division flags come from the
-rule tables, and each division physically triples one row and column of
-the adjacency matrix.  It is deliberately independent of the flat-table
-engine (different data structure, different algorithm, one division at a
-time instead of a batch over stable ids) and is only meant for modest orders.
+The configuration vector is 4*S + A.S, states and division flags come from
+the rule tables, and all of a step's divisions are one duplication product
+E A E^T (each divider's row and column tripled) followed by masks that leave
+each clone one inherited edge and give each divider its triangle.  It is
+deliberately independent of the flat-table engine (dense masks in canonical
+labels instead of patches to stable-id tables) and only meant for modest orders.
 """
 
 import numpy as np
@@ -16,10 +16,6 @@ from .graph import Graph
 from .rules import Rule
 
 DEFAULT_ORACLE_CAP = 2_000
-
-
-def dense_from_graph(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    return g.adjacency_matrix(), g.states.copy()
 
 
 def graph_from_dense(adjacency: np.ndarray, states: np.ndarray) -> Graph:
@@ -67,22 +63,24 @@ def reference_divide_dense(
 def reference_apply_divisions_dense(
     adjacency: np.ndarray, states: np.ndarray, division: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Process the division vector literally: find the first 1, divide that
-    vertex, turn the entry into a 0 and triple it, repeat until null."""
-    a, s = adjacency, states
-    d = division.astype(np.int64).copy()
-    if d.shape[0] != a.shape[0]:
+    """Every division at once: new row i is clone c_i (0-2) of old row src_i,
+    src = repeat(arange(o), 1 + 2d) being E in index form.  With R the rank
+    (cumsum(A, 1) - 1) * A * d[:, None] of u in divider v's row, A'_ij =
+    A[src_i, src_j] [c_i = R[src_i, src_j]] [c_j = R[src_j, src_i]], or-ed
+    with each divider's triangle [src_i = src_j] [c_i != c_j]."""
+    o = adjacency.shape[0]
+    d = division.astype(bool)
+    if d.shape[0] != o:
         raise LengthMismatchError("division vector length does not match order")
-    while True:
-        nz = np.flatnonzero(d)
-        if len(nz) == 0:
-            return a, s
-        v = int(nz[0])
-        a, s = reference_divide_dense(a, s, v)
-        d[v] = 0
-        reps = np.ones(len(d), dtype=np.int64)
-        reps[v] = 3
-        d = np.repeat(d, reps)
+    reps = 1 + 2 * d.astype(np.int64)
+    src = np.repeat(np.arange(o), reps)
+    clone = (np.arange(src.size) - np.searchsorted(src, src)).astype(np.int8)
+    a = adjacency != 0
+    rank = (np.cumsum(a, axis=1, dtype=np.int8) - 1) * a * d[:, None]
+    r = rank[src][:, src]
+    a2 = a[src][:, src] & (clone[:, None] == r) & (clone == r.T)
+    a2 |= (src[:, None] == src) & (clone[:, None] != clone)
+    return a2.astype(adjacency.dtype), np.repeat(states, reps)
 
 
 def reference_step_dense(g: Graph, rule: Rule) -> StepOutcome:
@@ -90,8 +88,8 @@ def reference_step_dense(g: Graph, rule: Rule) -> StepOutcome:
     OracleCapExceededError for a graph above DEFAULT_ORACLE_CAP vertices."""
     if g.order > DEFAULT_ORACLE_CAP:
         raise OracleCapExceededError(f"order {g.order} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
-    a, s = dense_from_graph(g)
-    s64 = s.astype(np.int64)
+    a = g.adjacency_matrix()
+    s64 = g.states.astype(np.int64)
     conf = 4 * s64 + a.astype(np.int64) @ s64
     new_s = rule.next_state[conf].astype(np.uint8)
     division = rule.divides[conf].astype(np.int64)

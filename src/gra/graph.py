@@ -71,14 +71,9 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
         nb = self.neighbors
-        for v in range(self.order):
-            for k in range(3):
-                u = int(nb[v, k])
-                if v < u:
-                    out.append((v, u))
-        return out
+        v, k = np.nonzero(nb > np.arange(self.order)[:, None])
+        return list(zip(v.tolist(), nb[v, k].tolist()))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 matrix (int8)."""

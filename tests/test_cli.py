@@ -187,6 +187,16 @@ class TestSweepCommand:
         assert code == 1
         assert "empty sweep" in err
 
+    def test_preset_with_config_refused(self, tmp_path, capsys):
+        config = self._config(tmp_path, [0])
+        out_dir = tmp_path / "o"
+        argv = ["sweep", "--preset", "single-division-smoke", "--config", str(config)]
+        code, out, err = run([*argv, "--out", str(out_dir), "--max-steps", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--preset" in err and "--config" in err
+        assert not out_dir.exists()
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         config = self._config(tmp_path, [0, 256, 770, 2222])
         d1, d2 = tmp_path / "o1", tmp_path / "o2"
@@ -422,6 +432,14 @@ class TestClassifyCommand:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {field} must be ")
+
+    def test_csv_with_rule_refused(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n0,4,0\n1,6,2\n")
+        code, out, err = run(["classify", "--csv", str(csv), "--rule", "2222"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--csv" in err and "--rule" in err
 
     def test_header_only_csv_refused(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"

@@ -1,8 +1,9 @@
 """Differential tests: the flat-table engine against the dense-matrix oracle.
 
-The oracle is a literal matrix transcription (tripled rows and columns,
-one division at a time), so agreement here pins the batch surgery to the
-normative semantics.
+The oracle works on dense matrices (all of a step's divisions as one
+duplication product plus masks), and its batch is pinned here to the literal
+procedure that triples one row and column at a time, so agreement pins the
+engine's surgery to the normative semantics.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from gra.dense import (
 )
 from gra.engine import apply_divisions, divide_vertex, step
 from gra.errors import LengthMismatchError, OracleCapExceededError
-from gra.generate import ring_chord_graph
+from gra.generate import random_regular_graph, ring_chord_graph
 from gra.graph import k4_one_alive
 from gra.rules import decode
 
@@ -64,6 +65,23 @@ class TestDenseDivide:
         assert np.array_equal(s, fast.states)
 
 
+def divide_first_one_loop(a, s, d):
+    """The literal procedure: divide at the first 1, turn it into three 0s, repeat."""
+    while (ones := np.flatnonzero(d)).size:
+        v = int(ones[0])
+        a, s = reference_divide_dense(a, s, v)
+        d = np.concatenate([d[:v], np.zeros(3, d.dtype), d[v + 1 :]])
+    return a, s
+
+
+def assert_closed_form_is_the_loop(a, s, d):
+    want_a, want_s = divide_first_one_loop(a, s, d)
+    got_a, got_s = reference_apply_divisions_dense(a, s, d)
+    assert got_a.dtype == want_a.dtype and got_s.dtype == want_s.dtype
+    assert np.array_equal(got_a, want_a)
+    assert np.array_equal(got_s, want_s)
+
+
 class TestDenseApplyDivisions:
     @given(graphs(max_order=16))
     @settings(max_examples=40, deadline=None)
@@ -76,6 +94,41 @@ class TestDenseApplyDivisions:
         fast = apply_divisions(g, d)
         assert np.array_equal(a2, fast.adjacency_matrix())
         assert np.array_equal(s2, fast.states)
+
+    @pytest.mark.parametrize("share", [0.0, 0.05, 0.3, 0.6, 1.0, "one"])
+    def test_closed_form_equals_first_one_loop(self, share):
+        rng = np.random.default_rng(1717)
+        for _ in range(60):
+            order = int(rng.integers(2, 61)) * 2
+            g = random_regular_graph(
+                order, seed=int(rng.integers(2**31)), alive_probability=float(rng.random())
+            )
+            if share == "one":
+                d = np.zeros(order, np.int64)
+                d[rng.integers(order)] = 1
+            else:
+                d = (rng.random(order) < share).astype(np.int64)
+            assert_closed_form_is_the_loop(g.adjacency_matrix(), g.states, d)
+
+    def test_mutual_pair(self):
+        # every pair of K4 is adjacent, so each divider's clone meets a clone
+        g = k4_one_alive()
+        for d in ([0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0]):
+            d = np.array(d, np.int64)
+            assert_closed_form_is_the_loop(g.adjacency_matrix(), g.states, d)
+            a2, s2 = reference_apply_divisions_dense(g.adjacency_matrix(), g.states, d)
+            assert graph_from_dense(a2, s2) == apply_divisions(g, d.astype(np.uint8))
+
+    def test_empty_vector(self):
+        a, s = reference_apply_divisions_dense(
+            np.zeros((0, 0), np.int8), np.zeros(0, np.uint8), np.zeros(0, np.int64)
+        )
+        assert a.shape == (0, 0) and s.shape == (0,)
+
+    def test_length_mismatch_refused(self):
+        g = k4_one_alive()
+        with pytest.raises(LengthMismatchError, match="division vector length"):
+            reference_apply_divisions_dense(g.adjacency_matrix(), g.states, np.zeros(5))
 
 
 class TestDenseStep:
