@@ -31,10 +31,18 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_INTERNAL = 3
 
+# The flags _run reads, with the value each takes when it is not given.  They
+# parse to None, so that classify --csv can tell a given flag from a default.
+RUN_DEFAULTS = {"steps": 1000, "initial": "paper-g0", "max_order": Budget.max_order}
+
 
 def _run(args, wall_clock=None):
     """Evolve args.rule from args.initial under --steps and --max-order, and
-    classify the trace: (rule, initial graph, trace, classification)."""
+    classify the trace: (rule, initial graph, trace, classification).
+    Sets each of those flags that was not given to its default on args."""
+    for name, default in RUN_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     rule = decode(parse_rule_number(args.rule))
     g0 = resolve_initial_graph(args.initial)
     budget = Budget(max_steps=args.steps, max_order=args.max_order, wall_clock=wall_clock)
@@ -129,9 +137,10 @@ def _read_series(path) -> EvolutionTrace:
 
 
 def _classify(args) -> int:
-    if args.csv and args.rule is not None:
-        raise GraError("classify takes --csv or --rule, not both")
     if args.csv:
+        for name in ("rule", *RUN_DEFAULTS):
+            if getattr(args, name) is not None:
+                raise GraError(f"classify takes --csv or --{name.replace('_', '-')}, not both")
         cls = classify(_read_series(args.csv))
     else:
         if args.rule is None:
@@ -161,9 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = argparse.ArgumentParser(add_help=False)  # the flags _run reads
-    run.add_argument("--steps", type=int, default=1000, help="step budget")
-    run.add_argument("--initial", default="paper-g0", help="builtin name or graph file")
-    run.add_argument("--max-order", type=int, default=Budget.max_order)
+    run.add_argument("--steps", type=int, help=f"step budget (default {RUN_DEFAULTS['steps']})")
+    run.add_argument(
+        "--initial", help=f"builtin name or graph file (default {RUN_DEFAULTS['initial']})"
+    )
+    run.add_argument(
+        "--max-order", type=int, help=f"order budget (default {RUN_DEFAULTS['max_order']})"
+    )
 
     p = sub.add_parser("simulate", parents=[run], help="evolve one rule and export the results")
     p.add_argument("rule", help="rule number, decimal or prefixed binary (0b...)")

@@ -166,11 +166,17 @@ def complement_states(g: Graph) -> Graph:
 def state_fingerprint(g: Graph) -> str:
     """Stable 128-bit hex digest of (order, states) under the engine labeling.
 
+    The states are hashed as packed bits, one byte per eight vertices, after
+    the order.  Packing is lossless only because every state is 0 or 1
+    (``build_graph`` refuses other values and the kernels keep the low bit),
+    and the order prefix keeps apart two orders whose zero-padded packed
+    bytes are equal.
+
     Adjacency is deliberately excluded: within a cycle-detection window the
     topology is frozen, and candidate cycles are confirmed by exact state
     comparison anyway.
     """
-    return _digest(g, g.states.tobytes())
+    return _digest(g, np.packbits(g.states))
 
 
 def graph_digest(g: Graph) -> str:
@@ -178,7 +184,7 @@ def graph_digest(g: Graph) -> str:
     return _digest(g, np.ascontiguousarray(g.neighbors).tobytes(), g.states.tobytes())
 
 
-def _digest(g: Graph, *parts: bytes) -> str:
+def _digest(g: Graph, *parts: bytes | np.ndarray) -> str:
     """128-bit blake2b hex of g's order followed by parts."""
     h = hashlib.blake2b(struct.pack("<q", g.order), digest_size=16)
     for part in parts:

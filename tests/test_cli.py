@@ -441,6 +441,19 @@ class TestClassifyCommand:
         assert out == ""
         assert "--csv" in err and "--rule" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--steps", "5"], ["--initial", "nonexistent-graph"], ["--max-order", "0"]],
+        ids=["steps", "initial", "max-order"],
+    )
+    def test_csv_with_run_flag_refused(self, tmp_path, capsys, flags):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,order,increment\n0,4,0\n1,6,2\n")
+        code, out, err = run(["classify", "--csv", str(csv), *flags], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: classify takes --csv or {flags[0]}, not both\n"
+
     def test_header_only_csv_refused(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"
         csv.write_text("t,order,increment\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gra.errors import (
     DuplicateEdgeError,
@@ -24,6 +25,7 @@ from gra.graph import (
     state_fingerprint,
 )
 from gra.engine import step
+from gra.generate import ring_chord_graph
 from gra.rules import decode, single_division_subset
 
 from helpers import graphs
@@ -226,6 +228,45 @@ class TestFingerprint:
         g = step(k4_one_alive(), decode(0)).graph
         g2 = step(g, decode(0)).graph
         assert state_fingerprint(g) == state_fingerprint(g2)
+
+    # the digest hashes packed bits: these cases pin what packing must keep
+
+    @pytest.mark.parametrize("order", [10, 22])
+    def test_last_vertex_counts_when_order_is_not_a_multiple_of_8(self, order):
+        states = np.zeros(order, dtype=np.uint8)
+        flipped = states.copy()
+        flipped[-1] = 1
+        assert state_fingerprint(with_states(states)) != state_fingerprint(with_states(flipped))
+
+    def test_order_tells_equal_packed_bytes_apart(self):
+        short, long = np.zeros(10, dtype=np.uint8), np.zeros(16, dtype=np.uint8)
+        short[:3] = long[:3] = 1
+        assert np.array_equal(np.packbits(short), np.packbits(long))
+        assert state_fingerprint(with_states(short)) != state_fingerprint(with_states(long))
+
+    @given(
+        st.sampled_from(range(4, 42, 2)).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_digests_equal_exactly_when_states_equal(self, case):
+        states, flips = case
+        other = list(states)
+        # counted from the end, where the last packed byte is padded; a vertex
+        # flipped twice is back, so equal states are drawn too
+        for v in flips:
+            other[-1 - v] ^= 1
+        same = state_fingerprint(with_states(states)) == state_fingerprint(with_states(other))
+        assert same == (other == states)
+
+
+def with_states(states):
+    """A ring-chord graph of len(states) vertices carrying the given states."""
+    return build_graph(ring_chord_graph(len(states)).edges(), states)
 
 
 class TestGraphFiles:
