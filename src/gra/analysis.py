@@ -202,6 +202,15 @@ def _adjusted_r2(y: np.ndarray, pred: np.ndarray, n_params: int = 2) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / dof
 
 
+FIT_POINTS = 10  # fewest orders a growth model is fitted to
+
+
+def fit_window(steps: int, window_fraction: float) -> tuple[int, int]:
+    """The half-open range of time steps classify fits for a run of steps
+    steps: the trailing window_fraction of them, through the last order."""
+    return int(math.floor(steps * (1.0 - window_fraction))), steps + 1
+
+
 def fit_growth(
     orders: Sequence[int], window: Optional[tuple[int, int]] = None
 ) -> GrowthFits:
@@ -214,14 +223,16 @@ def fit_growth(
     Adjusted R2 is computed in the original data space for all three so the
     models are comparable.  ``window`` is a half-open (start, stop) range of
     time steps; the whole series by default.  Raises DegenerateWindowError
-    when it leaves the series or holds fewer than 10 points.
+    when it leaves the series or holds fewer than FIT_POINTS points.
     """
     o = np.asarray(orders, dtype=np.float64)
     if window is None:
         window = (0, len(o))
     start, stop = window
-    if start < 0 or stop > len(o) or stop - start < 10:
-        raise DegenerateWindowError(f"fit window [{start}, {stop}) needs 10 points within [0, {len(o)})")
+    if start < 0 or stop > len(o) or stop - start < FIT_POINTS:
+        raise DegenerateWindowError(
+            f"fit window [{start}, {stop}) needs {FIT_POINTS} points within [0, {len(o)})"
+        )
     t = np.arange(start, stop, dtype=np.float64)
     y = o[start:stop]
     if (y <= 0).any():
@@ -241,7 +252,7 @@ def fit_growth(
 
     power: Optional[ModelFit] = None
     mask = t >= 1
-    if int(mask.sum()) >= 10:
+    if int(mask.sum()) >= FIT_POINTS:
         lt = np.log(t[mask])
         pa, pk = _lstsq_line(lt, np.log(y[mask]))
         c_pow = math.exp(pa)
@@ -351,10 +362,8 @@ def classify(
             thresholds=th,
         )
 
-    steps = trace.steps
-    start = int(math.floor(steps * (1.0 - th.window_fraction)))
     try:
-        fits = fit_growth(trace.orders, window=(start, steps + 1))
+        fits = fit_growth(trace.orders, window=fit_window(trace.steps, th.window_fraction))
     except DegenerateWindowError:
         return GrowthClassification(category=GrowthCategory.UNCLASSIFIED, thresholds=th)
 

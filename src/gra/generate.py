@@ -25,39 +25,21 @@ def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) 
 
 
 def random_regular_graph(order: int, seed: int = 0, alive_probability: float = 0.5) -> Graph:
-    """Random simple 3-regular graph via 3*order attempted double edge swaps
-    on a circulant base.
-
-    A swap replaces edges (a, b), (c, d) by (a, d), (c, b) when the result
-    stays simple, preserving 3-regularity.  Intended for correctness tests
-    at modest orders; use ring_chord_graph for large benchmark graphs.
+    """Uniformly random simple 3-regular graph by the pairing model
+    (Bollobás, European J. Combin. 1, 1980): stubs 3v, 3v+1 and 3v+2
+    belong to vertex v, a random permutation of the stubs cut into pairs
+    gives the edges, and a pairing with a loop or a repeated edge is
+    drawn again.  Each simple cubic graph comes from (3!)**order
+    pairings, so the result is uniform.  A pairing is simple with
+    probability tending to exp(-2): about e**2 = 7.4 draws per graph,
+    up to about 11 at orders below 30.
     """
     if order < 4 or order % 2:
         raise ValueError("order must be even and >= 4")
     rng = np.random.default_rng(seed)
-    base = ring_chord_graph(order)
-    edges = set(base.edges())
-    edge_list = list(edges)
-    for _ in range(3 * order):
-        i, j = rng.integers(0, len(edge_list), size=2)
-        if i == j:
-            continue
-        old_i, old_j = edge_list[i], edge_list[j]
-        a, b = old_i
-        c, d = old_j
-        if rng.random() < 0.5:
-            c, d = d, c
-        if len({a, b, c, d}) < 4:
-            continue
-        e1 = (a, d) if a < d else (d, a)
-        e2 = (c, b) if c < b else (b, c)
-        if e1 in edges or e2 in edges:
-            continue
-        edges.discard(old_i)
-        edges.discard(old_j)
-        edges.add(e1)
-        edges.add(e2)
-        edge_list[i] = e1
-        edge_list[j] = e2
+    while True:
+        u, v = np.sort(rng.permutation(3 * order).reshape(-1, 2) // 3, axis=1).T
+        if (u < v).all() and np.unique(u * order + v).size == len(u):
+            break
     states = (rng.random(order) < alive_probability).astype(np.uint8)
-    return build_graph(sorted(edges), states)
+    return build_graph(zip(u, v), states)

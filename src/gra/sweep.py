@@ -19,7 +19,14 @@ from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from typing import Optional
 
-from .analysis import ClassifyThresholds, GrowthCategory, GrowthFits, classify
+from .analysis import (
+    FIT_POINTS,
+    ClassifyThresholds,
+    GrowthCategory,
+    GrowthFits,
+    classify,
+    fit_window,
+)
 from .engine import Budget, evolve
 from .errors import ConfigMismatchError, GraError, check_number
 from .export import as_record, dump_json
@@ -45,6 +52,10 @@ BASELINE_PERIOD_CENSUS = {1: 310, 2: 102, 3: 2, 6: 6, 8: 2}
 
 @dataclass
 class SweepConfig:
+    """What a sweep runs.  Building one checks every value and resolves
+    initial (a builtin name or a graph file) once: that graph is the one
+    the rules start from and the one reports describe."""
+
     rule_numbers: list[int]
     initial: str  # builtin name or path, echoed in reports
     budget: Budget
@@ -59,16 +70,25 @@ class SweepConfig:
         repeated = sorted(n for n, k in Counter(self.rule_numbers).items() if k > 1)
         if repeated:
             raise GraError(f"rule number(s) listed twice: {', '.join(map(str, repeated))}")
-        if self.budget.max_steps < 1:
+        steps = self.budget.max_steps
+        if steps < 1:
             raise GraError("a sweep needs steps: budget.max_steps must be positive")
+        start, stop = fit_window(steps, self.thresholds.window_fraction)
+        if steps + 1 >= FIT_POINTS and stop - start < FIT_POINTS:
+            raise GraError(
+                f"thresholds.window_fraction {self.thresholds.window_fraction!r} leaves "
+                f"{stop - start} points in the fit window of a {steps}-step run; "
+                f"a fit needs {FIT_POINTS}"
+            )
         if not isinstance(self.initial, str):
             raise GraError(f"initial must be a string, got {self.initial!r}")
         check_number(self.workers, "workers", integer=True)
         if self.workers < 1:
             raise GraError(f"workers must be at least 1, got {self.workers}")
+        self._initial_graph = resolve_initial_graph(self.initial)
 
     def initial_graph(self) -> Graph:
-        return resolve_initial_graph(self.initial)
+        return self._initial_graph
 
     def fingerprint(self) -> str:
         """Digest of everything that affects per-rule results.

@@ -182,6 +182,10 @@ class TestFitGrowth:
         with pytest.raises(DegenerateWindowError):
             fit_growth([4, 6, 8, 10, 12])
 
+    def test_non_positive_order_refused(self):
+        with pytest.raises(DegenerateWindowError, match="^orders must be positive$"):
+            fit_growth([0, *range(4, 24, 2)], window=(0, 11))
+
     @pytest.mark.parametrize(
         "n, window",
         [(5, (0, 20)), (29, (-5, 20)), (29, (10, 30))],

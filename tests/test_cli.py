@@ -197,6 +197,26 @@ class TestSweepCommand:
         assert "--preset" in err and "--config" in err
         assert not out_dir.exists()
 
+    def test_neither_preset_nor_config_refused(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        code, out, err = run(["sweep", "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: sweep needs --preset or --config\n"
+        assert not out_dir.exists()
+
+    def test_missing_initial_file_refused_before_out_is_made(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        missing = tmp_path / "no-such.graph"
+        config.write_text(json.dumps({"rules": [0], "initial": str(missing),
+                                      "budget": {"max_steps": 5}}))
+        out_dir = tmp_path / "d"
+        code, out, err = run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert out == ""
+        assert str(missing) in err
+        assert not out_dir.exists()
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         config = self._config(tmp_path, [0, 256, 770, 2222])
         d1, d2 = tmp_path / "o1", tmp_path / "o2"

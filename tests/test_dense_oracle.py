@@ -17,7 +17,7 @@ from gra.dense import (
     reference_step_dense,
 )
 from gra.engine import apply_divisions, divide_vertex, step
-from gra.errors import LengthMismatchError, OracleCapExceededError
+from gra.errors import IndexOutOfRangeError, LengthMismatchError, OracleCapExceededError
 from gra.generate import random_regular_graph, ring_chord_graph
 from gra.graph import k4_one_alive
 from gra.rules import decode
@@ -45,6 +45,12 @@ class TestDenseDivide:
         fast = divide_vertex(g, 1)
         assert np.array_equal(a2, fast.adjacency_matrix())
         assert np.array_equal(s2, fast.states)
+
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_vertex_out_of_range_refused(self, v):
+        g = k4_one_alive()
+        with pytest.raises(IndexOutOfRangeError, match=f"^vertex {v} out of range for order 4$"):
+            reference_divide_dense(g.adjacency_matrix(), g.states, v)
 
     @given(graphs(max_order=20))
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from gra.analysis import ClassifyThresholds
 from gra.engine import Budget
 from gra.errors import ConfigMismatchError, GraError
+from gra.graph import graph_to_edge_text, k4_one_alive, resolve_initial_graph
 from gra.rules import single_division_subset
 from gra.sweep import (
     SweepConfig,
@@ -83,6 +84,21 @@ class TestRunSweep:
     def test_bad_value_refused(self, kwargs, message):
         with pytest.raises(GraError, match=f"^{re.escape(message)}"):
             small_config(**kwargs)
+
+    def test_initial_file_read_once(self, tmp_path, monkeypatch):
+        # one read, so the header, the rules run and initial_digest agree
+        path = tmp_path / "k4.graph"
+        path.write_text(graph_to_edge_text(k4_one_alive()))
+        calls = []
+
+        def counted(name_or_path):
+            calls.append(name_or_path)
+            return resolve_initial_graph(name_or_path)
+
+        monkeypatch.setattr("gra.sweep.resolve_initial_graph", counted)
+        config = small_config(rule_numbers=[0, 256], initial=str(path))
+        run_sweep(config).to_json()
+        assert calls == [str(path)]
 
     def test_matches_standalone_evolution(self):
         from gra.analysis import classify
@@ -364,6 +380,36 @@ class TestConfigFiles:
     def test_value_out_of_range_refused(self, doc, message):
         with pytest.raises(GraError, match=f"^{re.escape(message)}"):
             config_from_dict({"rules": [0], "budget": {"max_steps": 5}, **doc})
+
+    def test_rules_field_neither_subset_nor_list_refused(self):
+        with pytest.raises(GraError, match="^bad rules field: 5$"):
+            config_from_dict({"rules": 5, "budget": {"max_steps": 5}})
+
+    @pytest.mark.parametrize(
+        "max_steps, fraction, points",
+        [(3000, 0.002, 7), (300, 0.026, 9), (9, 0.75, 8)],
+        ids=["rule-2222-3000-steps", "one-short", "default-fraction"],
+    )
+    def test_window_fraction_that_empties_the_fit_window_refused(
+        self, max_steps, fraction, points
+    ):
+        doc = {"rules": [2222], "budget": {"max_steps": max_steps},
+               "thresholds": {"window_fraction": fraction}}
+        message = (f"thresholds.window_fraction {fraction} leaves {points} points in the fit "
+                   f"window of a {max_steps}-step run; a fit needs 10")
+        with pytest.raises(GraError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
+    def test_window_fraction_leaving_ten_points_fits(self):
+        doc = {"rules": [2222], "budget": {"max_steps": 300},
+               "thresholds": {"window_fraction": 0.028}}
+        (rec,) = run_sweep(config_from_dict(doc)).records
+        assert rec["fit"]["window"] == [291, 301]
+
+    def test_window_fraction_kept_for_runs_shorter_than_a_fit(self):
+        doc = {"rules": [2222], "budget": {"max_steps": 8},
+               "thresholds": {"window_fraction": 0.002}}
+        assert config_from_dict(doc).thresholds.window_fraction == 0.002
 
     def test_missing_budget_rejected(self):
         with pytest.raises(GraError):
