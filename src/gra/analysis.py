@@ -179,16 +179,14 @@ class GrowthFits:
 
 
 def _lstsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    # fit_growth passes at least FIT_POINTS distinct x, so no denominator is 0
     xm = x.mean()
     ym = y.mean()
-    den = ((x - xm) ** 2).sum()
-    if den == 0.0:
-        return float(ym), 0.0
-    b = float(((x - xm) * (y - ym)).sum() / den)
+    b = float(((x - xm) * (y - ym)).sum() / ((x - xm) ** 2).sum())
     return float(ym - b * xm), b
 
 
-def _adjusted_r2(y: np.ndarray, pred: np.ndarray, n_params: int = 2) -> float:
+def _adjusted_r2(y: np.ndarray, pred: np.ndarray) -> float:
     n = len(y)
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
@@ -196,10 +194,7 @@ def _adjusted_r2(y: np.ndarray, pred: np.ndarray, n_params: int = 2) -> float:
         # constant data: a perfect fit scores 1, anything else 0
         return 1.0 if ss_res <= 1e-12 * max(1.0, abs(float(y[0]))) * n else 0.0
     r2 = 1.0 - ss_res / ss_tot
-    dof = n - n_params
-    if dof <= 0:
-        return r2
-    return 1.0 - (1.0 - r2) * (n - 1) / dof
+    return 1.0 - (1.0 - r2) * (n - 1) / (n - 2)  # every model has two parameters
 
 
 FIT_POINTS = 10  # fewest orders a growth model is fitted to

@@ -113,7 +113,6 @@ def step(
     graph is None and divisions_performed still counts the divisions.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
-    n_div = int(n_div)
     if max_order is not None and g.order + 2 * n_div > max_order:
         return StepOutcome(graph=None, divisions_performed=n_div)
     if isinstance(g, StableGraph):

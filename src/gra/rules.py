@@ -4,9 +4,9 @@ A rule is a 16-bit integer.  Bit i (i in 0..7) gives the next state for a
 vertex in configuration i; bit i+8 flags whether that configuration
 triggers a division.  The step kernel reads those bits from the number
 itself.  A :class:`Rule` holds only its number; the two 8-entry tables it
-decodes into serve the dense oracle in :mod:`gra.dense` and
-:func:`encode`, so the oracle checks the kernel against a decoding of its
-own.
+decodes into serve the dense oracle in :mod:`gra.dense`, :func:`encode`
+and :func:`complement_rule`, so the oracle checks the kernel against a
+decoding of its own, and one packing turns tables back into a number.
 """
 
 from dataclasses import dataclass
@@ -62,12 +62,14 @@ def decode(n: int) -> Rule:
     return Rule(n)
 
 
+def _number(next_state: np.ndarray, divides: np.ndarray) -> int:
+    """The rule number whose two 8-entry tables are next_state and divides."""
+    return sum(int(bit) << i for i, bit in enumerate(np.concatenate((next_state, divides))))
+
+
 def encode(rule: Rule) -> int:
     """Inverse of decode: pack the two tables back into a rule number."""
-    n = 0
-    for i in range(8):
-        n += (int(rule.next_state[i]) << i) + (int(rule.divides[i]) << (i + 8))
-    return n
+    return _number(rule.next_state, rule.divides)
 
 
 def single_division_subset() -> list[int]:
@@ -81,15 +83,9 @@ def complement_rule(rule: Rule) -> Rule:
 
     Flipping states maps configuration c to 7-c, so the complement rule
     reads its tables through that involution and flips the produced state:
-    next*(c) = 1 - next(7-c), divides*(c) = divides(7-c).  On the number,
-    bit c becomes 1 - bit(7-c) and bit c+8 becomes bit(15-c).
+    next*(c) = 1 - next(7-c), divides*(c) = divides(7-c).
     """
-    n = rule.number
-    m = 0
-    for c in range(8):
-        m |= (1 - ((n >> (7 - c)) & 1)) << c
-        m |= ((n >> (15 - c)) & 1) << (c + 8)
-    return Rule(m)
+    return Rule(_number(1 - rule.next_state[::-1], rule.divides[::-1]))
 
 
 def parse_rule_number(text: str) -> int:

@@ -86,6 +86,12 @@ class SweepConfig:
         if self.workers < 1:
             raise GraError(f"workers must be at least 1, got {self.workers}")
         self._initial_graph = resolve_initial_graph(self.initial)
+        if self.budget.max_order < self._initial_graph.order:
+            # orders never shrink, so every rule would stop on max-order at step 1
+            raise GraError(
+                f"budget.max_order {self.budget.max_order} is below the order "
+                f"{self._initial_graph.order} of initial {self.initial!r}"
+            )
 
     def initial_graph(self) -> Graph:
         return self._initial_graph

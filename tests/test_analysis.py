@@ -130,6 +130,9 @@ class TestMinimalPeriod:
 
 
 class TestFinalGraph:
+    def test_recorded_series_has_none(self):
+        assert make_trace([4, 6, 8]).final_graph is None
+
     def test_failed_read_keeps_the_builder(self):
         g = build_graph(K4_EDGES, (1, 0, 0, 0))
         reads = []

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from gra import _kernels
 from gra.cli import main
 from gra.graph import load_graph
+from gra.rules import single_division_subset
 
 
 def run(argv, capsys):
@@ -115,6 +117,19 @@ class TestSimulate:
             run(["simulate", "2222", "--steps", "200", "--csv", str(path)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_broken_engine_invariant_exits_internal(self, capsys, monkeypatch):
+        divide_all = _kernels.ACTIVE.divide_all
+
+        def drop_last_vertex(*args, **kwargs):
+            nb, states, rank, dividers = divide_all(*args, **kwargs)
+            return nb, states[:-1], rank, dividers
+
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(divide_all=drop_last_vertex))
+        code, out, err = run(["simulate", "1026", "--steps", "3"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: order changed by 1 for 1 divisions\n"
+
 
 class TestExportCommand:
     def test_builtin_to_dot(self, tmp_path, capsys):
@@ -178,6 +193,25 @@ class TestSweepCommand:
         assert len(report["rules"]) == 3
         assert sum(report["aggregates"]["category_counts"].values()) == 3
         assert "category" in out
+
+    def test_preset(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        argv = ["sweep", "--preset", "single-division-smoke", "--max-steps", "2", "--workers", "1"]
+        code, out, _ = run([*argv, "--out", str(out_dir)], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [r["rule"] for r in report["rules"]] == single_division_subset()
+        assert report["config"]["budget"]["max_steps"] == 2
+        assert f"report: {out_dir / 'report.json'}" in out
+
+    def test_max_order_below_the_initial_order_refused_before_out_is_made(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        argv = ["sweep", "--preset", "single-division-smoke", "--max-steps", "2", "--max-order", "10"]
+        code, out, err = run([*argv, "--out", str(out_dir)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: budget.max_order 10 is below the order 16 of initial 'paper-g0'\n"
+        assert not out_dir.exists()
 
     def test_empty_rules_rejected(self, tmp_path, capsys):
         config = self._config(tmp_path, [])

@@ -16,11 +16,11 @@ from gra.dense import (
     reference_divide_dense,
     reference_step_dense,
 )
-from gra.engine import apply_divisions, divide_vertex, step
+from gra.engine import Budget, apply_divisions, divide_vertex, evolve, step
 from gra.errors import IndexOutOfRangeError, LengthMismatchError, OracleCapExceededError
 from gra.generate import random_regular_graph, ring_chord_graph
 from gra.graph import k4_one_alive
-from gra.rules import decode
+from gra.rules import RULE_SPACE, decode
 
 from helpers import graphs, rules
 
@@ -163,3 +163,26 @@ class TestDenseStep:
         g = ring_chord_graph(3000)
         with pytest.raises(OracleCapExceededError):
             reference_step_dense(g, decode(765))
+
+
+class TestEvolveAgainstOracle:
+    def test_orders_and_final_graph_agree(self):
+        # evolve patches tables of its own in place, across steps, where a
+        # public step starts from a fresh graph each time
+        rng = np.random.default_rng(20)
+        max_order = 300
+        for case in range(200):
+            g0 = random_regular_graph(2 * int(rng.integers(2, 17)), seed=int(rng.integers(2**31)))
+            rule = decode(int(rng.integers(RULE_SPACE)))
+            steps = int(rng.integers(1, 9))
+            trace = evolve(g0, rule, Budget(max_steps=steps, max_order=max_order))
+            g, orders = g0, [g0.order]
+            for _ in range(len(trace.orders) - 1):
+                nxt = reference_step_dense(g, rule).graph
+                orders.append(nxt.order)
+                if nxt.order > max_order:  # evolve records it but keeps the graph before
+                    break
+                g = nxt
+            where = f"case {case}: order {g0.order}, rule {rule.number}, {steps} steps"
+            assert trace.orders.tolist() == orders, where
+            assert trace.final_graph == g, where

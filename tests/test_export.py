@@ -11,6 +11,7 @@ import gra
 from gra.analysis import EvolutionTrace
 from gra.engine import divide_vertex
 from gra.export import (
+    format_for_path,
     graph_to_dot,
     graph_to_graphml,
     parse_series_csv,
@@ -80,6 +81,21 @@ class TestEdgeList:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_graph(k4_one_alive(), "png")
+
+
+class TestFormatForPath:
+    @pytest.mark.parametrize(
+        "path, explicit, fmt",
+        [
+            ("g.dot", None, "dot"),
+            ("g.xml", None, "graphml"),
+            ("g.dot", "graphml", "graphml"),
+            ("g.txt", None, "edge-list"),
+            ("g", None, "edge-list"),
+        ],
+    )
+    def test_explicit_format_wins_and_unknown_extension_is_edge_list(self, path, explicit, fmt):
+        assert format_for_path(path, explicit) == fmt
 
 
 class TestSeriesCsv:

@@ -1,6 +1,6 @@
 import pytest
 
-from gra.generate import random_regular_graph
+from gra.generate import random_regular_graph, ring_chord_graph
 
 
 class TestRandomRegularGraph:
@@ -19,3 +19,10 @@ class TestRandomRegularGraph:
     def test_bad_order_refused(self, order):
         with pytest.raises(ValueError, match="^order must be even and >= 4$"):
             random_regular_graph(order)
+
+
+class TestRingChordGraph:
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_bad_order_refused(self, order):
+        with pytest.raises(ValueError, match="^order must be even and >= 4$"):
+            ring_chord_graph(order)

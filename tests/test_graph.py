@@ -68,6 +68,10 @@ class TestBuildGraph:
         with pytest.raises(NonBinaryStateError):
             build_graph(K4_EDGES, (2, 0, 0, 0))
 
+    def test_states_that_are_not_flat_refused(self):
+        with pytest.raises(NonBinaryStateError, match="^states must be a flat sequence$"):
+            build_graph(K4_EDGES, [(1, 0), (0, 0)])
+
     def test_too_small(self):
         with pytest.raises(GraphValidationError):
             build_graph([], ())
@@ -83,6 +87,16 @@ def _with(a, index, value):
     a = a.copy()
     a[index] = value
     return a
+
+
+class TestGraphValue:
+    def test_equal_only_to_graphs(self):
+        g = k4_one_alive()
+        assert (g == 5) is False
+        assert g != "K4"
+
+    def test_repr_gives_order_and_alive_count(self):
+        assert repr(k4_one_alive()) == "Graph(order=4, alive=1)"
 
 
 class TestValidate:

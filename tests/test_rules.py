@@ -47,6 +47,9 @@ class TestDecode:
 
 
 class TestRule:
+    def test_repr_gives_number_and_bits(self):
+        assert repr(decode(2222)) == "Rule(2222=0b0000100010101110)"
+
     def test_equality_and_hash_follow_the_number(self):
         assert Rule(765) == decode(765) and hash(Rule(765)) == hash(decode(765))
         assert Rule(765) != Rule(766)

@@ -77,13 +77,22 @@ class TestRunSweep:
             ({"rule_numbers": [256.0]}, "rules entry must be an integer, got 256.0"),
             ({"rule_numbers": [0, True]}, "rules entry must be an integer, got True"),
             ({"initial": 5}, "initial must be a string"),
+            (
+                {"budget": Budget(max_steps=5, max_order=15)},
+                "budget.max_order 15 is below the order 16 of initial 'paper-g0'",
+            ),
         ],
         ids=["workers-zero", "workers-negative", "workers-float", "rule-float", "rule-bool",
-             "initial-number"],
+             "initial-number", "max_order-below-initial"],
     )
     def test_bad_value_refused(self, kwargs, message):
         with pytest.raises(GraError, match=f"^{re.escape(message)}"):
             small_config(**kwargs)
+
+    def test_max_order_at_the_initial_order_runs(self):
+        # paper-g0 has order 16; a budget that holds it refuses only growth
+        report = run_sweep(small_config(rule_numbers=[0, 256], budget=Budget(5, max_order=16)))
+        assert [r["stop_reason"] for r in report.records] == ["cycle-found", "max-order"]
 
     def test_initial_file_read_once(self, tmp_path, monkeypatch):
         # one read, so the header, the rules run and initial_digest agree
@@ -374,8 +383,13 @@ class TestConfigFiles:
                 {"thresholds": {"quadratic_exponent_band": [2.5, 1.7]}},
                 "thresholds.quadratic_exponent_band must be [lo, hi]",
             ),
+            (
+                {"rules": [0, 1026, 2182, 2222], "budget": {"max_steps": 300, "max_order": 10}},
+                "budget.max_order 10 is below the order 16 of initial 'paper-g0'",
+            ),
         ],
-        ids=["workers-zero", "window-five", "window-zero", "cap-zero", "band-reversed"],
+        ids=["workers-zero", "window-five", "window-zero", "cap-zero", "band-reversed",
+             "max_order-below-initial"],
     )
     def test_value_out_of_range_refused(self, doc, message):
         with pytest.raises(GraError, match=f"^{re.escape(message)}"):
