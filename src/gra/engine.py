@@ -11,28 +11,29 @@ The division kernel works on stable vertex ids (see :mod:`gra._kernels`):
 it patches O(dividers) rows in place, in tables with room for the clones.
 A public :func:`step` hands it a fresh copy of the graph's tables, so
 every graph stays a value and one StableGraph can be stepped down two
-branches.  :func:`evolve`, which owns its graph and never branches, hands
-it tables of its own instead, grown geometrically, so a division step
-copies no table; nor does it hash the states a division step made unless
-the next step keeps the order, since only then can they start a cycle.  A
-:class:`StableGraph` is a graph in those ids: its tables, each vertex's
-self-rank, and its splits, the chain of division steps (order before, ids
-that divided) since it was taken from canonical labels.  The canonical
-labels of a :class:`Graph` are the pre-order of the split forest: v, then
-the subtrees of its newest split's clones 1 and 2, then those of its older
-splits; :meth:`StableGraph.canonical` builds them from the chain.
-:func:`step`, :func:`apply_divisions` and :func:`divide_vertex` return a
-Graph under canonical labels, as if each division had shifted the vertices
-above it up by two; :func:`step` keeps a StableGraph in stable ids.
-:func:`evolve` runs on a StableGraph, since cycle search is valid under any
-fixed labelling, and its trace builds the final graph's canonical labels
-only when it is read.  The dense-matrix reference in :mod:`gra.dense` is
-the semantic authority and differential tests keep the two in lock step.
+branches.  :func:`evolve`, which owns its graph and never branches, runs
+its own step loop and hands it tables of its own instead, grown
+geometrically, so a division step copies no table; nor does it hash the
+states a division step made unless the next step keeps the order, since
+only then can they start a cycle.  A :class:`StableGraph` is a graph in
+those ids: its tables, each vertex's self-rank, and its splits, the chain
+of division steps (order before, ids that divided) since it was taken from
+canonical labels.  The canonical labels of a :class:`Graph` are the
+pre-order of the split forest: v, then the subtrees of its newest split's
+clones 1 and 2, then those of its older splits;
+:meth:`StableGraph.canonical` builds them from the chain.  :func:`step`,
+:func:`apply_divisions` and :func:`divide_vertex` return a Graph under
+canonical labels, as if each division had shifted the vertices above it up
+by two; :func:`step` keeps a StableGraph in stable ids.  :func:`evolve`
+runs on a StableGraph, since cycle search is valid under any fixed
+labelling, and its trace builds the final graph's canonical labels only
+when it is read.  The dense-matrix reference in :mod:`gra.dense` is the
+semantic authority and differential tests keep the two in lock step.
 """
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -62,9 +63,9 @@ CYCLE_WINDOW_CAP = 100_000
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """graph is None when the step was refused for passing max_order."""
+    """The graph one step made, and how many vertices divided in that step."""
 
-    graph: Optional[Union[Graph, "StableGraph"]]
+    graph: Union[Graph, "StableGraph"]
     divisions_performed: int
 
 
@@ -97,26 +98,15 @@ class Budget:
             raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
 
 
-def step(
-    g: Union[Graph, "StableGraph"],
-    rule: Rule,
-    *,
-    room: Optional[Callable] = None,
-    max_order: Optional[int] = None,
-) -> StepOutcome:
+def step(g: Union[Graph, "StableGraph"], rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph.
 
     A StableGraph stays in stable ids; any other graph comes back under
-    canonical labels.  room, for a StableGraph, is passed on to
-    :meth:`StableGraph.advanced`.  If the step's order, g.order plus two
-    per division, would pass max_order, no graph is built: the outcome's
-    graph is None and divisions_performed still counts the divisions.
+    canonical labels.  Either way g is left as it was.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
-    if max_order is not None and g.order + 2 * n_div > max_order:
-        return StepOutcome(graph=None, divisions_performed=n_div)
     if isinstance(g, StableGraph):
-        out = g.advanced(new_states, div, n_div, room)
+        out = g.advanced(new_states, div, n_div)
     elif n_div:
         out = StableGraph.of(g).advanced(new_states, div, n_div).canonical()
     else:
@@ -159,26 +149,15 @@ class StableGraph:
         """g's canonical labels taken as its stable ids."""
         return cls(g.neighbors, g.states, self_rank(g.neighbors))
 
-    def advanced(
-        self, states: np.ndarray, d: np.ndarray, n_div: int, room: Optional[Callable] = None
-    ) -> "StableGraph":
+    def advanced(self, states: np.ndarray, d: np.ndarray, n_div: int) -> "StableGraph":
         """The graph with new states and the n_div vertices flagged in d divided.
 
-        The division kernel writes into neighbor and rank tables with room
-        for the clones.  By default they are fresh copies of this graph's,
-        so this graph is left as it was.  room(g, rows), if given, returns
-        such tables of at least rows rows instead, and the kernel patches
-        them in place.
+        The division kernel writes into fresh copies of this graph's
+        tables, so this graph is left as it was.
         """
         if not n_div:
             return StableGraph(self.neighbors, states, self.rank, self.splits)
-        nb, rank = (room or _tables_with_room)(self, self.order + 2 * n_div)
-        nb, st, rank, dividers = _kernels.ACTIVE.divide_all(nb, states, d, n_div, rank=rank)
-        if st.shape[0] != self.order + 2 * n_div:
-            raise EngineInvariantError(
-                f"order changed by {st.shape[0] - self.order} for {n_div} divisions"
-            )
-        return StableGraph(nb, st, rank, (self.order, dividers, self.splits))
+        return _divided(self, states, d, n_div, *_tables_with_room(self, self.order + 2 * n_div))
 
     def canonical(self) -> Graph:
         """This graph under its canonical labels.
@@ -207,26 +186,21 @@ def _tables_with_room(g: StableGraph, rows: int) -> tuple[np.ndarray, np.ndarray
     return nb, rank
 
 
-class _GrowingTables:
-    """The neighbor and rank tables one evolve owns, which its graph lives in.
+def _divided(
+    g: StableGraph, states: np.ndarray, d: np.ndarray, n_div: int, nb: np.ndarray, rank: np.ndarray
+) -> StableGraph:
+    """g with new states and the n_div vertices flagged in d divided.
 
-    Called as the room of :meth:`StableGraph.advanced` with the graph last
-    made in them (or, the first time, any graph), it returns them, grown
-    first if they hold fewer than rows rows.  The capacity grows to
-    max(rows, min(max_order, 2 * capacity)), so a run copies its tables
-    O(log order) times, and never past max_order rows unless asked for
-    more; the pages of rows not yet written are not paged in.
+    nb and rank are neighbor and rank tables with room for the clones,
+    their first g.order rows g's; the division kernel patches them in
+    place, and the graph it returns lives in them.
     """
-
-    def __init__(self, max_order: int):
-        self.max_order = max_order
-        self.capacity = 0
-
-    def __call__(self, g: StableGraph, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        if rows > self.capacity:
-            self.capacity = max(rows, min(self.max_order, 2 * self.capacity))
-            self.neighbors, self.rank = _tables_with_room(g, self.capacity)
-        return self.neighbors, self.rank
+    nb, st, rank, dividers = _kernels.ACTIVE.divide_all(nb, states, d, n_div, rank=rank)
+    if st.shape[0] != g.order + 2 * n_div:
+        raise EngineInvariantError(
+            f"order changed by {st.shape[0] - g.order} for {n_div} divisions"
+        )
+    return StableGraph(nb, st, rank, (g.order, dividers, g.splits))
 
 
 def canonical_positions(splits: Optional[tuple], order: int) -> np.ndarray:
@@ -321,18 +295,21 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     before each step of the loop, is not checked inside that scan.
     Budget exhaustion is a normal outcome recorded in the trace.  On
     max-order, the last order recorded is the one that passed
-    budget.max_order, and the final graph is the one before it:
-    :func:`step` refuses the step without building its graph.
+    budget.max_order, and the final graph is the one before it: the loop
+    checks a step's order, g.order plus two per division, before it
+    builds that step's graph.
 
-    The loop holds the graph as a StableGraph in neighbor and rank tables
-    of its own, which each division step patches in place and which grow
-    geometrically up to budget.max_order rows; the trace takes its
-    canonical labels when the final graph is first read.  A window's first
-    states are hashed only once the step after them keeps the order, so a
-    division step hashes nothing.
+    The loop steps the graph itself, as a StableGraph in neighbor and rank
+    tables of its own, which each division step patches in place.  When a
+    step needs more rows, the tables grow to max(rows, min(max_order,
+    2 * capacity)) rows, so a run copies them O(log order) times and never
+    past budget.max_order rows; the pages of rows not yet written are not
+    paged in.  The trace takes the final graph's canonical labels when it
+    is first read.  A window's first states are hashed only once the step
+    after them keeps the order, so a division step hashes nothing.
     """
     g = StableGraph.of(g0)
-    room = _GrowingTables(budget.max_order)
+    capacity = 0  # rows of the run's own tables, made at its first division
     orders = [g.order]
     seen: Optional[dict[str, int]] = None  # None until the window's first step
     cycle_period: Optional[int] = None
@@ -343,17 +320,21 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         if deadline is not None and _time.monotonic() >= deadline:
             stop = STOP_WALL_CLOCK
             break
-        out = step(g, rule, room=room, max_order=budget.max_order)
-        orders.append(g.order + 2 * out.divisions_performed)
-        if out.graph is None:
+        states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
+        rows = g.order + 2 * n_div
+        orders.append(rows)
+        if rows > budget.max_order:
             stop = STOP_MAX_ORDER
             break
-        if out.divisions_performed:
-            g, seen = out.graph, None
+        if n_div:
+            if rows > capacity:
+                capacity = max(rows, min(budget.max_order, 2 * capacity))
+                tables = _tables_with_room(g, capacity)
+            g, seen = _divided(g, states, div, n_div, *tables), None
             continue
         if seen is None:  # a step that keeps the order writes no table of g
             seen = {state_fingerprint(g): t - 1}
-        g = out.graph
+        g = StableGraph(g.neighbors, states, g.rank, g.splits)
         digest = state_fingerprint(g)
         p = t - seen.setdefault(digest, t)
         if p and t + p <= budget.max_steps:

@@ -11,6 +11,7 @@ with observed values instead of failing silently.
 """
 
 import contextlib
+import hashlib
 import json
 import statistics
 import time
@@ -240,6 +241,14 @@ def test_c8b_rule_2182_quadratic():
         print(f"  reproduced: {observed}")
 
 
+# sha256 of the smoke preset's report.json and journal.jsonl; a change that
+# alters the smoke census on purpose updates them and says why
+SMOKE_DIGESTS = {
+    "report.json": "a3ff6e3493e6fbddc4bf27005e1b2922b6e2929ecfaf610f2905edc2804e582f",
+    "journal.jsonl": "eb9eced1b91791861be3f2546f524b527e7cec36e2bf551a97db11f104ecab5e",
+}
+
+
 def test_c8c_smoke_sweep_census(tmp_path):
     with criterion(8, "c) 1024-rule smoke sweep under 10 minutes with census diff"):
         start = time.monotonic()
@@ -254,6 +263,13 @@ def test_c8c_smoke_sweep_census(tmp_path):
         diff = report.baseline_diff()
         assert diff is not None
         (tmp_path / "report.json").write_text(report.to_json())
+        # the smoke gate: the census files are byte-identical to those of
+        # `gra sweep --preset single-division-smoke`, for any worker count
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.json", "journal.jsonl")
+        }
+        assert digests == SMOKE_DIGESTS, f"smoke census files changed: {digests}"
         print(f"  smoke sweep finished in {elapsed:.1f}s; side-by-side census diff:")
         for line in format_census_table(report).splitlines():
             print(f"    {line}")
@@ -283,23 +299,25 @@ def test_c9_step_cost_scales_linearly():
         rule = decode(2 + (1 << 10))  # divides on configuration 2
         step(ring_chord_graph(1000, seed=1), rule)  # warmup
         orders = [10_000 * (2**k) for k in range(8)]  # 10k .. 1.28M
-        medians = []
-        for order in orders:
-            g = ring_chord_graph(order, seed=0)
+        graphs = [ring_chord_graph(order, seed=0) for order in orders]
+        for g in graphs:
             for _ in range(3):  # warm the allocator and caches for this size
                 out = step(g, rule)
-            assert out.graph.order > order  # the rule must exercise divisions
-            times = []
-            gc.collect()
-            gc.disable()
-            try:
-                for _ in range(15):
+            assert out.graph.order > g.order  # the rule must exercise divisions
+        # round-robin, one step per order each round, so a burst of host
+        # load lands on every order alike instead of on one order's samples
+        times = [[] for _ in orders]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(15):
+                for g, samples in zip(graphs, times):
                     t0 = time.perf_counter()
                     step(g, rule)
-                    times.append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
-            medians.append(statistics.median(times))
+                    samples.append(time.perf_counter() - t0)
+        finally:
+            gc.enable()
+        medians = [statistics.median(samples) for samples in times]
         print(f"  backend: {_kernels.backend_name()}")
         for order, med in zip(orders, medians):
             print(f"    order {order:>9,}: {med * 1e3:8.2f} ms/step")

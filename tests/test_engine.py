@@ -532,10 +532,14 @@ class TestStableIds:
     def test_public_step_leaves_a_dividing_graph_as_it_was(self, in_evolve_tables):
         # a stable graph from public steps, or one living in the tables evolve grows
         rule = decode(1026)
-        room = engine._GrowingTables(1_000) if in_evolve_tables else None
-        g = StableGraph.of(canonical_g0())
-        for _ in range(4):  # orders 18, 20, 22, 22; step 5 divides
-            g = step(g, rule, room=room).graph
+        if in_evolve_tables:
+            g = evolve(canonical_g0(), rule, Budget(max_steps=4)).build_final_graph.__self__
+            assert g.neighbors.base.shape[0] > g.order  # spare rows: evolve's own tables
+        else:
+            g = StableGraph.of(canonical_g0())
+            for _ in range(4):
+                g = step(g, rule).graph
+        assert g.order == 22  # orders 18, 20, 22, 22; step 5 divides
         tables = (g.neighbors, g.rank, g.states)
         before = [a.tobytes() for a in tables]
         first = step(g, rule)
