@@ -1,4 +1,4 @@
-"""Evolution traces, cycle periods, growth-model fitting and classification."""
+"""Evolution traces, growth-model fitting and classification."""
 
 import enum
 import math
@@ -122,28 +122,6 @@ class GrowthClassification:
     increment_period: Optional[int] = None
     fit: Optional["GrowthFits"] = None
     thresholds: ClassifyThresholds = field(default_factory=ClassifyThresholds)
-
-
-# --------------------------------------------------------------------------
-# cycle period
-# --------------------------------------------------------------------------
-
-def minimal_period(initial_states: np.ndarray, advance, period_bound: int) -> Optional[int]:
-    """The minimal period of a cycle that may return after period_bound steps.
-
-    ``advance(k)`` returns the state vector k steps after initial_states,
-    or None if those steps leave the cycle's frozen topology.  The periods
-    of a cycle are the multiples of the minimal one, so it is the smallest
-    divisor q of period_bound, period_bound included, with advance(q) ==
-    initial_states.  None means period_bound is no period."""
-    for q in range(1, period_bound + 1):
-        if period_bound % q == 0:
-            states = advance(q)
-            if states is None:
-                return None
-            if np.array_equal(states, initial_states):
-                return q
-    return None
 
 
 # --------------------------------------------------------------------------

@@ -10,30 +10,29 @@ A step, applied to the whole graph at once:
 The division kernel works on stable vertex ids (see :mod:`gra._kernels`):
 it patches O(dividers) rows in place, in tables with room for the clones.
 A public :func:`step` hands it a fresh copy of the graph's tables, so
-every graph stays a value and one StableGraph can be stepped down two
-branches.  :func:`evolve`, which owns its graph and never branches, runs
-its own step loop and hands it tables of its own instead, grown
-geometrically, so a division step copies no table; nor does it hash the
-states a division step made unless the next step keeps the order, since
-only then can they start a cycle.  A :class:`StableGraph` is a graph in
-those ids: its tables, each vertex's self-rank, and its splits, the chain
-of division steps (order before, ids that divided) since it was taken from
-canonical labels.  The canonical labels of a :class:`Graph` are the
-pre-order of the split forest: v, then the subtrees of its newest split's
-clones 1 and 2, then those of its older splits;
+every graph stays a value.  :func:`evolve`, which owns its graph and never
+branches, runs its own step loop and hands it tables of its own instead,
+grown geometrically, so a division step copies no table; nor does it hash
+the states a division step made unless the next step keeps the order,
+since only then can they start a cycle.  A :class:`StableGraph` is a
+graph in those ids: its tables, each vertex's self-rank, and its splits,
+the chain of division steps (order before, ids that divided) since it was
+taken from canonical labels.  The canonical labels of a :class:`Graph`
+are the pre-order of the split forest: v, then the subtrees of its newest
+split's clones 1 and 2, then those of its older splits;
 :meth:`StableGraph.canonical` builds them from the chain.  :func:`step`,
 :func:`apply_divisions` and :func:`divide_vertex` return a Graph under
 canonical labels, as if each division had shifted the vertices above it up
-by two; :func:`step` keeps a StableGraph in stable ids.  :func:`evolve`
-runs on a StableGraph, since cycle search is valid under any fixed
-labelling, and its trace builds the final graph's canonical labels only
-when it is read.  The dense-matrix reference in :mod:`gra.dense` is the
-semantic authority and differential tests keep the two in lock step.
+by two.  :func:`evolve` runs on a StableGraph, since cycle search is valid
+under any fixed labelling, and its trace builds the final graph's
+canonical labels only when it is read.  The dense-matrix reference in
+:mod:`gra.dense` is the semantic authority and differential tests keep the
+two in lock step.
 """
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .analysis import (
     STOP_MAX_STEPS,
     STOP_WALL_CLOCK,
     EvolutionTrace,
-    minimal_period,
 )
 from .errors import (
     EngineInvariantError,
@@ -65,7 +63,7 @@ CYCLE_WINDOW_CAP = 100_000
 class StepOutcome:
     """The graph one step made, and how many vertices divided in that step."""
 
-    graph: Union[Graph, "StableGraph"]
+    graph: Graph
     divisions_performed: int
 
 
@@ -98,17 +96,14 @@ class Budget:
             raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
 
 
-def step(g: Union[Graph, "StableGraph"], rule: Rule) -> StepOutcome:
+def step(g: Graph, rule: Rule) -> StepOutcome:
     """Apply one synchronous step of the rule to the whole graph.
 
-    A StableGraph stays in stable ids; any other graph comes back under
-    canonical labels.  Either way g is left as it was.
+    The graph comes back under canonical labels, and g is left as it was.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
-    if isinstance(g, StableGraph):
-        out = g.advanced(new_states, div, n_div)
-    elif n_div:
-        out = StableGraph.of(g).advanced(new_states, div, n_div).canonical()
+    if n_div:
+        out = _divide_copy(g, new_states, div, n_div)
     else:
         # no topology change: share the immutable neighbor table
         out = Graph._wrap(g.neighbors, new_states)
@@ -148,16 +143,6 @@ class StableGraph:
     def of(cls, g: Graph) -> "StableGraph":
         """g's canonical labels taken as its stable ids."""
         return cls(g.neighbors, g.states, self_rank(g.neighbors))
-
-    def advanced(self, states: np.ndarray, d: np.ndarray, n_div: int) -> "StableGraph":
-        """The graph with new states and the n_div vertices flagged in d divided.
-
-        The division kernel writes into fresh copies of this graph's
-        tables, so this graph is left as it was.
-        """
-        if not n_div:
-            return StableGraph(self.neighbors, states, self.rank, self.splits)
-        return _divided(self, states, d, n_div, *_tables_with_room(self, self.order + 2 * n_div))
 
     def canonical(self) -> Graph:
         """This graph under its canonical labels.
@@ -201,6 +186,33 @@ def _divided(
             f"order changed by {st.shape[0] - g.order} for {n_div} divisions"
         )
     return StableGraph(nb, st, rank, (g.order, dividers, g.splits))
+
+
+def _divide_copy(g: Graph, states: np.ndarray, d: np.ndarray, n_div: int) -> Graph:
+    """g with new states and the n_div vertices flagged in d divided, under
+    canonical labels.  The division kernel writes into fresh copies of g's
+    tables, so g is left as it was."""
+    stable = StableGraph.of(g)
+    nb, rank = _tables_with_room(stable, g.order + 2 * n_div)
+    return _divided(stable, states, d, n_div, nb, rank).canonical()
+
+
+def minimal_period(g: Graph | StableGraph, rule: Rule, period_bound: int) -> Optional[int]:
+    """The minimal period of g's states, if they return after period_bound steps.
+
+    One forward scan from g, in g's own tables: the states return exactly at
+    the multiples of their first return q, so the answer is q if q divides
+    period_bound and None otherwise.  None too if a step before the first
+    return divides (in evolve's closing scan that means a digest collision)
+    or the states have not returned by period_bound."""
+    states = g.states
+    for q in range(1, period_bound + 1):
+        states, _, n_div = _kernels.ACTIVE.step_tables(g.neighbors, states, rule.number)
+        if n_div:
+            return None
+        if np.array_equal(states, g.states):
+            return q if period_bound % q == 0 else None
+    return None
 
 
 def canonical_positions(splits: Optional[tuple], order: int) -> np.ndarray:
@@ -266,18 +278,7 @@ def apply_divisions(g: Graph, d) -> Graph:
     n_div = int(d.sum())
     if n_div == 0:
         return g
-    return StableGraph.of(g).advanced(g.states, d, n_div).canonical()
-
-
-def _advance_states(g: StableGraph, rule: Rule, k: int) -> Optional[np.ndarray]:
-    """States k steps ahead of g, or None if one of those steps divides
-    (in evolve's closing scan that means a digest collision)."""
-    for _ in range(k):
-        out = step(g, rule)
-        if out.divisions_performed:
-            return None
-        g = out.graph
-    return g.states
+    return _divide_copy(g, g.states, d, n_div)
 
 
 def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
@@ -288,11 +289,12 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
     order never decreases a cycle must have frozen topology).  A digest
     match at step t against step t - p, with t + p within max_steps, is
     its window's first repeated state unless it is a collision: one
-    :func:`minimal_period` call steps the divisors of p ahead, comparing
-    exact state vectors, and confirms the cycle or refuses the match.  A
-    confirmed cycle's graph at t + p is its graph at t, so the trace adds
-    p steps of the same order and stops there; the deadline, checked
-    before each step of the loop, is not checked inside that scan.
+    :func:`minimal_period` call scans forward from t, stepping the states
+    in g's frozen tables up to their first exact return, and confirms the
+    cycle when that return divides p or refuses the match.  A confirmed
+    cycle's graph at t + p is its graph at t, so the trace adds p steps of
+    the same order and stops there; the deadline, checked before each step
+    of the loop, is not checked inside that scan.
     Budget exhaustion is a normal outcome recorded in the trace.  On
     max-order, the last order recorded is the one that passed
     budget.max_order, and the final graph is the one before it: the loop
@@ -338,7 +340,7 @@ def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:
         digest = state_fingerprint(g)
         p = t - seen.setdefault(digest, t)
         if p and t + p <= budget.max_steps:
-            cycle_period = minimal_period(g.states, lambda k: _advance_states(g, rule, k), p)
+            cycle_period = minimal_period(g, rule, p)
             if cycle_period is not None:
                 orders += [g.order] * p
                 stop = STOP_CYCLE

@@ -222,17 +222,19 @@ def _journal_line(obj) -> bytes:
 
 
 def _run_rules(config: SweepConfig, todo: list[int], journal_fh, progress=None) -> list[dict]:
-    """Evolve+classify the rules in todo (ascending).  Both map and the
-    pool's map yield in job order, so each journal line is written and
-    flushed as its result arrives."""
+    """Evolve+classify the rules in todo (ascending).  The pool gets no more
+    workers than there are jobs, and fewer than two runs serially.  Both map
+    and the pool's map yield in job order, so each journal line is written
+    and flushed as its result arrives."""
     g0 = config.initial_graph()
     jobs = [(n, g0, config.budget, config.thresholds) for n in todo]
+    workers = min(config.workers, len(jobs))
     records = []
     with ExitStack() as stack:
-        if config.workers <= 1:
+        if workers < 2:
             completed = map(_worker, jobs)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             completed = pool.map(_worker, jobs)
         for rec in completed:
             records.append(rec)

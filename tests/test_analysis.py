@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from gra import engine
 from gra.analysis import (
@@ -15,10 +14,10 @@ from gra.analysis import (
     fit_growth,
     increment_periodicity,
     increment_support,
-    minimal_period,
     zero_growth_intervals,
 )
-from gra.engine import Budget, evolve
+from gra import _kernels
+from gra.engine import Budget, evolve, minimal_period, step
 from gra.errors import DegenerateWindowError, GraError
 from gra.export import as_record
 from gra.graph import build_graph
@@ -42,31 +41,35 @@ def trace_from_increments(increments, start=16):
     return make_trace(orders)
 
 
-def cyclic_advance(sequence):
-    """advance() for minimal_period over a cyclic list of state vectors."""
-    return lambda k: sequence[k % len(sequence)]
+# next state 1 on configurations 0-3 (a dead vertex), 0 on 4-7: every
+# vertex flips on every step, so any graph blinks with period 2
+FLIP = decode(0b1111)
 
 
-def distinct_states(n):
-    return [np.array([(t >> b) & 1 for b in range(3)], dtype=np.uint8) for t in range(n)]
+def prism_on_its_cycle():
+    """The one-alive prism after its 2-step transient under rule 135: its
+    states first return after 6 steps."""
+    g = build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 0))
+    for _ in range(2):
+        g = step(g, decode(135)).graph
+    return g
 
 
 class TestDetectCycle:
-    """Cycles are found one way: evolve nominates a period by digest,
-    confirms it on exact states, and minimal_period reduces it."""
+    """Cycles are found one way: evolve nominates a period by digest, and
+    minimal_period confirms it on exact states in one forward scan."""
 
     def test_fixed_point(self):
-        seq = distinct_states(1)
-        assert minimal_period(seq[0], cyclic_advance(seq), 6) == 1
+        g = build_graph(K4_EDGES, (0, 0, 0, 0))
+        assert minimal_period(g, decode(0), 6) == 1
 
     def test_blinker(self):
-        seq = distinct_states(2)
-        assert minimal_period(seq[0], cyclic_advance(seq), 4) == 2
+        g = build_graph(K4_EDGES, (1, 1, 1, 1))
+        assert minimal_period(g, FLIP, 4) == 2
 
     def test_minimality(self):
         # a return after 12 steps reduces to the true period 6, not below
-        seq = distinct_states(6)
-        assert minimal_period(seq[0], cyclic_advance(seq), 12) == 6
+        assert minimal_period(prism_on_its_cycle(), decode(135), 12) == 6
 
     def test_preperiod_then_cycle(self):
         # one alive vertex on the triangular prism: a 2-step transient, then
@@ -105,28 +108,48 @@ class TestDetectCycle:
 
 
 class TestMinimalPeriod:
-    @given(st.integers(1, 12), st.integers(1, 12))
-    def test_bound_reduces_to_the_period(self, m, k):
-        # m distinct states in a cycle, first confirmed after k full turns;
-        # only divisors of the bound are worth advancing to
-        seq = [np.array([t], dtype=np.uint8) for t in range(m)]
-        asked = []
-
-        def advance(q):
-            asked.append(q)
-            return seq[q % m]
-
-        assert minimal_period(seq[0], advance, k * m) == m
-        assert all(k * m % q == 0 for q in asked)
+    def test_bound_reduces_to_the_period(self):
+        g = prism_on_its_cycle()
+        for k in range(1, 5):
+            assert minimal_period(g, decode(135), 6 * k) == 6
 
     def test_bound_that_is_no_period_gives_none(self):
-        # a 3-cycle never returns after 4 steps, nor after 1 or 2
-        seq = [np.array([t], dtype=np.uint8) for t in range(3)]
-        assert minimal_period(seq[0], lambda q: seq[q % 3], 4) is None
+        # the blinker returns after 2 steps, which divides no odd bound; the
+        # prism has not returned by 3 or 4 steps and returns after 6, not 8
+        blinker = build_graph(K4_EDGES, (1, 1, 1, 1))
+        assert minimal_period(blinker, FLIP, 3) is None
+        for bound in (3, 4, 8):
+            assert minimal_period(prism_on_its_cycle(), decode(135), bound) is None
 
-    def test_advance_that_leaves_the_cycle_gives_none(self):
-        # advance returns None when a step inside the scan divides
-        assert minimal_period(np.array([0], dtype=np.uint8), lambda q: None, 6) is None
+    def test_a_division_before_the_first_return_gives_none(self):
+        # the flip rule that also divides a dead vertex with dead neighbours:
+        # the states would return at step 2, but that step divides
+        g = build_graph(K4_EDGES, (1, 1, 1, 1))
+        assert minimal_period(g, decode(0b1111 | 1 << 8), 4) is None
+        # rule 256 keeps the dead K4 dead, but divides every vertex at step 1
+        assert minimal_period(build_graph(K4_EDGES, (0, 0, 0, 0)), decode(256), 1) is None
+
+    @pytest.mark.parametrize(
+        "case, bound, steps",
+        [("fixed", 6, 1), ("blinker", 4, 2), ("blinker", 3, 2), ("prism", 12, 6),
+         ("prism", 4, 4)],
+    )
+    def test_scan_stops_at_the_first_return(self, monkeypatch, case, bound, steps):
+        g, rule = {
+            "fixed": (build_graph(K4_EDGES, (0, 0, 0, 0)), decode(0)),
+            "blinker": (build_graph(K4_EDGES, (1, 1, 1, 1)), FLIP),
+            "prism": (prism_on_its_cycle(), decode(135)),
+        }[case]
+        be = _kernels.ACTIVE
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return be.step_tables(*args)
+
+        monkeypatch.setattr(_kernels, "ACTIVE", be._replace(step_tables=counted))
+        minimal_period(g, rule, bound)
+        assert len(calls) == steps
 
 
 class TestFinalGraph:

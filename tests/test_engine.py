@@ -14,6 +14,7 @@ from gra.analysis import ClassifyThresholds
 from gra.engine import (
     Budget,
     StableGraph,
+    _divided,
     _tables_with_room,
     apply_divisions,
     canonical_positions,
@@ -304,7 +305,8 @@ class TestRuleBits:
         *_, dividers = _kernels.ACTIVE.divide_all(nb, g.states, div, 2, rank=rank)
         assert dividers.tolist() == [1, 5]
         assert dividers.base is None
-        stable = step(StableGraph.of(g), decode(1026)).graph
+        stable = evolve(g, decode(1026), Budget(max_steps=1)).build_final_graph.__self__
+        assert stable.order == g.order + 2
         assert stable.splits[1].base is None
 
 
@@ -528,25 +530,6 @@ class TestStableIds:
         assert (trace.stop_reason, trace.cycle_period) == (stop, period) == ("cycle-found", 2)
         assert trace.final_graph == final
 
-    @pytest.mark.parametrize("in_evolve_tables", [False, True])
-    def test_public_step_leaves_a_dividing_graph_as_it_was(self, in_evolve_tables):
-        # a stable graph from public steps, or one living in the tables evolve grows
-        rule = decode(1026)
-        if in_evolve_tables:
-            g = evolve(canonical_g0(), rule, Budget(max_steps=4)).build_final_graph.__self__
-            assert g.neighbors.base.shape[0] > g.order  # spare rows: evolve's own tables
-        else:
-            g = StableGraph.of(canonical_g0())
-            for _ in range(4):
-                g = step(g, rule).graph
-        assert g.order == 22  # orders 18, 20, 22, 22; step 5 divides
-        tables = (g.neighbors, g.rank, g.states)
-        before = [a.tobytes() for a in tables]
-        first = step(g, rule)
-        assert first.divisions_performed
-        assert [a.tobytes() for a in tables] == before
-        assert step(g, rule).graph.canonical() == first.graph.canonical()
-
     def test_labels_are_built_only_when_read(self, monkeypatch, tmp_path):
         calls = []
 
@@ -592,7 +575,8 @@ class TestStableIds:
     def test_canonicalise_refuses_a_non_permutation(self):
         g = k4_one_alive()
         d = np.array([0, 1, 1, 0], dtype=np.uint8)
-        divided = StableGraph.of(g).advanced(g.states, d, 2)
+        stable = StableGraph.of(g)
+        divided = _divided(stable, g.states, d, 2, *_tables_with_room(stable, 8))
 
         def with_splits(*dividers):
             return dataclasses.replace(divided, splits=(4, np.array(dividers), None))
@@ -604,20 +588,6 @@ class TestStableIds:
         # the splits end at order 6, the tables have 8 rows
         with pytest.raises(EngineInvariantError, match="do not add up"):
             with_splits(1).canonical()
-
-    @given(graphs(), rules, rules, st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_one_stable_graph_steps_down_two_branches(self, g, a, b, k):
-        # k steps of rule a, then each branch k more steps of its own rule
-        stable, public = StableGraph.of(g), g
-        for _ in range(k):
-            stable, public = step(stable, a).graph, step(public, a).graph
-        for rule in (a, b):
-            branch, expected = stable, public
-            for _ in range(k):
-                branch, expected = step(branch, rule).graph, step(expected, rule).graph
-            assert branch.canonical() == expected
-        assert stable.canonical() == public
 
 
 def one_bit_fingerprint(g):

@@ -9,6 +9,7 @@ from gra.analysis import ClassifyThresholds
 from gra.engine import Budget
 from gra.errors import ConfigMismatchError, GraError
 from gra.graph import graph_to_edge_text, k4_one_alive, resolve_initial_graph
+from gra import sweep
 from gra.rules import single_division_subset
 from gra.sweep import (
     SweepConfig,
@@ -144,6 +145,51 @@ class TestDeterminism:
         seen = []
         run_sweep(small_config(workers=2), progress=lambda rec: seen.append(rec["rule"]))
         assert seen == sorted(SMALL_RULES)
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for and
+    runs the jobs in this process, so no worker is ever started."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(SerialPool, "asked", [])
+        return SerialPool.asked
+
+    def test_pool_is_no_larger_than_the_rules(self, asked, tmp_path):
+        config = small_config(workers=64, rule_numbers=[0, 256, 2222])
+        report = run_sweep(config, journal_path=tmp_path / "j.jsonl")
+        assert asked == [3]
+        assert report.to_json() == run_sweep(small_config(rule_numbers=[0, 256, 2222])).to_json()
+
+    def test_one_rule_runs_without_a_pool(self, asked):
+        run_sweep(small_config(workers=4, rule_numbers=[0]))
+        assert asked == []
+
+    def test_finished_sweep_starts_no_pool(self, asked, tmp_path):
+        config = small_config(workers=1, rule_numbers=[0, 256])
+        journal = tmp_path / "j.jsonl"
+        first = run_sweep(config, journal_path=journal)
+        again = run_sweep(small_config(workers=4, rule_numbers=[0, 256]), journal_path=journal)
+        assert asked == []
+        assert again.to_json() == first.to_json()
 
 
 class TestResume:

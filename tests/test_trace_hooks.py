@@ -34,6 +34,8 @@ def test_every_traced_layer_records_spans(monkeypatch):
     try:
         chaotic = engine.evolve(canonical_g0(), decode(2222), engine.Budget(max_steps=30))
         halted = engine.evolve(canonical_g0(), decode(0), engine.Budget(max_steps=100))
+        # evolve runs its own step loop, so public step is traced on its own
+        engine.step(canonical_g0(), decode(2222))
         analysis.classify(chaotic)
         config = SweepConfig(rule_numbers=[0, 2222], initial="paper-g0",
                              budget=engine.Budget(max_steps=30))
