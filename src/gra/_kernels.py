@@ -33,11 +33,14 @@ loops:
     slot.  The three clones take v's place in the canonical order, so no
     other row changes order and no other self-rank changes.  t sits below
     the block exactly when k < r(v), so clone k's row is [t, a, b] then,
-    and [a, b, t] otherwise (a < b its two partners), and its self-rank
-    becomes (k < r(v)) + k.  Rows are gathered with ``take``, which is
-    several times faster than 2-D fancy indexing; the clones' ranks are
-    written past the old ones, and the new states are the old ones with
-    the appended clones' concatenated.
+    and [a, b, t] otherwise (a < b its two partners), and its self-rank is
+    1 + k then, and k otherwise.  Three small tables, one row per
+    self-rank 0-3 and one column per clone, hold a's slot, t's slot and the
+    clone's self-rank, so one ``take`` by r(v) gives all three clones'
+    values.  Rows are gathered with ``take``, which is several times faster
+    than 2-D fancy indexing; the clones' ranks are written past the old
+    ones, and the new states are the old ones with the appended clones'
+    concatenated.
 
 Both are numpy.  The engine calls them through ``ACTIVE``, so a tracer
 can wrap them by replacing that tuple.
@@ -69,7 +72,16 @@ def step_tables(neighbors, states, number):
 # clone k's two triangle partners a < b, as clone indices
 _A = np.array([1, 0, 0])
 _B = np.array([2, 2, 1])
-_CLONE = np.arange(3, dtype=np.uint8)
+
+# per self-rank r of a divider (the row index), per clone k (the column):
+# the slot of a in clone k's row, the slot of its inherited neighbor t, and
+# its self-rank.  t sits below the block exactly when k < r, so the row is
+# [t, a, b] then (a in slot 1, t in slot 0, rank 1 + k), and [a, b, t]
+# otherwise (a in slot 0, t in slot 2, rank k)
+_LOW = np.arange(3) < np.arange(4)[:, None]
+_A_SLOT = _LOW.astype(np.int64)
+_T_SLOT = 2 * (1 - _A_SLOT)
+_CLONE_RANK = (_LOW + np.arange(3)).astype(np.uint8)
 
 
 def divide_all(neighbors, states, div, n_div, *, rank):
@@ -96,25 +108,25 @@ def divide_all(neighbors, states, div, n_div, *, rank):
 
     # the slot of w pointing at u goes to u's clone k, where w is u's k-th
     # neighbor; each slot points at one vertex, so none is written twice,
-    # and every slot is found before the first is written
+    # and every slot is found before the first is written.  flat[1:][at]
+    # and flat[2:][at] read the slots after at without an at + 1 array
     at = 3 * neighbors.take(u, axis=0)
     u_col = u[:, None]
-    at += (flat[at + 1] == u_col) + 2 * (flat[at + 2] == u_col)
+    at += (flat[1:][at] == u_col) + 2 * (flat[2:][at] == u_col)
     flat[at] = clones
-    t = neighbors.take(u, axis=0)
+    t = neighbors.take(u, axis=0)  # after the writes: a dividing t is a clone now
 
-    # clone k's row is [t, a, b] when t sits below the block (k < r(u)),
-    # and [a, b, t] otherwise
-    low = _CLONE < rank[u][:, None]
-    at = 3 * clones + low  # a's slot in the clone's row
-    flat[at] = clones.take(_A, axis=1)
-    at += 1  # b's
-    flat[at] = clones.take(_B, axis=1)
-    at += 1 - 3 * low  # t's: 0 when low, 2 otherwise
+    # clone k's slots and self-rank are read from the tables by u's self-rank
+    r = rank.take(u).astype(np.intp)
+    at = 3 * clones  # the first slot of each clone's row
+    a_at = at + _A_SLOT.take(r, axis=0)
+    flat[a_at] = clones.take(_A, axis=1)
+    flat[1:][a_at] = clones.take(_B, axis=1)  # b follows a
+    at += _T_SLOT.take(r, axis=0)
     flat[at] = t
 
     # clone 0 keeps u's id, so only clones 1 and 2 are appended
-    clone_rank = low + _CLONE
+    clone_rank = _CLONE_RANK.take(r, axis=0)
     rank[o:m] = clone_rank[:, 1:].reshape(-1)
     rank[u] = clone_rank[:, 0]
     new_states = np.concatenate((states, np.repeat(states[u], 2)))

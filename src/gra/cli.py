@@ -1,7 +1,8 @@
 """Command-line surface: simulate, sweep, export, classify, intervals.
 
 Exit codes: 0 success (budget stops included), 1 usage error, 2 I/O error,
-3 internal invariant violation (for sweep, also any rule whose run raised).
+3 internal invariant violation (for sweep, also any rule whose run raised,
+or a worker process that died).
 """
 
 import argparse
@@ -12,7 +13,7 @@ import numpy as np
 
 from .analysis import STOP_MAX_STEPS, EvolutionTrace, classify, zero_growth_intervals
 from .engine import Budget, evolve
-from .errors import EngineInvariantError, GraError
+from .errors import EngineInvariantError, GraError, WorkerDiedError
 from .export import (
     EXPORT_FORMATS,
     as_record,
@@ -227,6 +228,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except EngineInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except GraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,6 +55,10 @@ class EngineInvariantError(GraError):
     """Internal consistency guard tripped; indicates an engine bug."""
 
 
+class WorkerDiedError(GraError):
+    """A sweep's worker process died, so its pool can run no more rules."""
+
+
 def check_number(value, name: str, *, integer: bool = False) -> None:
     """GraError naming name unless value is a real number, or with integer
     set an integer; a bool is neither, and NaN is not a number."""

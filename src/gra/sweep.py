@@ -1,19 +1,22 @@
 """Batch exploration of many rules from a shared starting graph.
 
-Rules are embarrassingly parallel: each worker runs one full evolution
-plus classification.  Results are merged by rule number, so the report is
-identical for any worker count.  A journal file gets a header line plus
-one JSON line per completed rule, flushed in ascending rule order.  A
-sweep always continues the journal it is given, so rerunning a killed
-sweep finishes it, and the finished journal is byte-identical to that of
-an uninterrupted run.
+Rules are embarrassingly parallel: each rule is one full evolution plus
+classification, and a pool task carries a chunk of consecutive rules, so
+the starting graph is sent to a worker once per chunk.  Results are
+merged by rule number, so the report is identical for any worker count.
+A journal file gets a header line plus one JSON line per completed rule,
+flushed in ascending rule order.  A sweep always continues the journal it
+is given, so rerunning a killed sweep finishes it, and the finished
+journal is byte-identical to that of an uninterrupted run.
 """
 
+import functools
 import hashlib
 import io
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
@@ -28,7 +31,7 @@ from .analysis import (
     fit_window,
 )
 from .engine import Budget, evolve
-from .errors import ConfigMismatchError, GraError, check_number
+from .errors import ConfigMismatchError, GraError, WorkerDiedError, check_number
 from .export import as_record, dump_json
 from .graph import Graph, graph_digest, resolve_initial_graph
 from .rules import check_rule_number, decode, parse_rule_number, single_division_subset
@@ -198,8 +201,7 @@ def _diff(observed: dict, reference: dict, keys) -> dict:
     }
 
 
-def _worker(args) -> dict:
-    rule_number, g0, budget, thresholds = args
+def _worker(g0, budget, thresholds, rule_number) -> dict:
     try:
         trace = evolve(g0, decode(rule_number), budget)
         cls = classify(trace, thresholds)
@@ -221,28 +223,33 @@ def _journal_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True) + "\n").encode()
 
 
-def _run_rules(config: SweepConfig, todo: list[int], journal_fh, progress=None) -> list[dict]:
-    """Evolve+classify the rules in todo (ascending).  The pool gets no more
-    workers than there are jobs, and fewer than two runs serially.  Both map
-    and the pool's map yield in job order, so each journal line is written
-    and flushed as its result arrives."""
-    g0 = config.initial_graph()
-    jobs = [(n, g0, config.budget, config.thresholds) for n in todo]
-    workers = min(config.workers, len(jobs))
-    records = []
+def _chunksize(rules: int, workers: int) -> int:
+    """Rules per pool task: at least 4 tasks per worker, so the work still
+    spreads evenly, and at most 8 rules, so one slow chunk barely delays
+    the end of the sweep and a kill loses few rules."""
+    return max(1, min(8, rules // (4 * workers)))
+
+
+def _run_rules(config: SweepConfig, todo: list[int], journal_fh, records: list, progress=None):
+    """Evolve+classify the rules in todo (ascending), appending each record
+    to records.  The pool gets no more workers than there are rules, and
+    fewer than two runs serially.  Both map and the pool's map yield in rule
+    order, so each journal line is written and flushed as its result
+    arrives, and a kill loses only the chunks in flight."""
+    run = functools.partial(_worker, config.initial_graph(), config.budget, config.thresholds)
+    workers = min(config.workers, len(todo))
     with ExitStack() as stack:
         if workers < 2:
-            completed = map(_worker, jobs)
+            completed = map(run, todo)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            completed = pool.map(_worker, jobs)
+            completed = pool.map(run, todo, chunksize=_chunksize(len(todo), workers))
         for rec in completed:
             records.append(rec)
             if progress is not None:
                 progress(rec)
             journal_fh.write(_journal_line(rec))
             journal_fh.flush()
-    return records
 
 
 def _json_line(line: bytes, number: int):
@@ -292,7 +299,9 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
     records are not the first rules of this sweep in ascending order.
     Without a journal_path the same steps run against an in-memory
     journal.  progress is called once per rule that runs, in ascending
-    rule order, so never on a rerun of a finished sweep."""
+    rule order, so never on a rerun of a finished sweep.  A worker process
+    that dies raises WorkerDiedError; the journal keeps every record that
+    arrived before it."""
     todo = sorted(config.rule_numbers)
     expected = config.fingerprint()
     with (io.BytesIO() if journal_path is None else open(journal_path, "a+b")) as fh:
@@ -310,7 +319,14 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
         if fingerprint is None:
             header = {"kind": "header", "fingerprint": expected, "config": config.echo()}
             fh.write(_journal_line(header))
-        records = done + _run_rules(config, todo[len(done):], fh, progress)
+        records = list(done)
+        try:
+            _run_rules(config, todo[len(done):], fh, records, progress)
+        except BrokenProcessPool:
+            raise WorkerDiedError(
+                f"a sweep worker process died; the journal holds {len(records)} of "
+                f"{len(todo)} rules, and rerunning the sweep continues it"
+            ) from None
     return SweepReport(config=config, records=records)
 
 

@@ -1,11 +1,23 @@
 import json
+import os
 
 import pytest
 
-from gra import _kernels
+from gra import _kernels, sweep
 from gra.cli import main
 from gra.graph import load_graph
 from gra.rules import single_division_subset
+
+
+_real_worker = sweep._worker
+
+
+def _dies_on_rule_770(g0, budget, thresholds, rule_number):
+    """A sweep worker whose process dies on rule 770.  Pickled by name, so it
+    lives at module level, where a forked pool worker finds it."""
+    if rule_number == 770:
+        os._exit(9)
+    return _real_worker(g0, budget, thresholds, rule_number)
 
 
 def run(argv, capsys):
@@ -454,6 +466,28 @@ class TestSweepCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert [r["rule"] for r in report["rules"] if r["error"]] == [770]
         assert len((out_dir / "journal.jsonl").read_text().splitlines()) == 5
+
+    def test_dead_worker_exits_internal_with_one_line(self, tmp_path, capsys, monkeypatch):
+        config = self._config(tmp_path, [0, 256, 770, 2222], workers=2)
+        clean_dir, out_dir = tmp_path / "clean", tmp_path / "o"
+        run(["sweep", "--config", str(config), "--out", str(clean_dir)], capsys)
+        monkeypatch.setattr(sweep, "_worker", _dies_on_rule_770)
+        code, out, err = run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: a sweep worker process died; the journal holds 2 of 4 rules, "
+            "and rerunning the sweep continues it\n"
+        )
+        assert not (out_dir / "report.json").exists()
+        clean = (clean_dir / "journal.jsonl").read_bytes().splitlines(keepends=True)
+        assert (out_dir / "journal.jsonl").read_bytes() == b"".join(clean[:3])
+
+        monkeypatch.setattr(sweep, "_worker", _real_worker)
+        code, _, _ = run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert (out_dir / "journal.jsonl").read_bytes() == b"".join(clean)
+        assert (out_dir / "report.json").read_bytes() == (clean_dir / "report.json").read_bytes()
 
 
 class TestClassifyCommand:

@@ -148,10 +148,12 @@ class TestDeterminism:
 
 
 class SerialPool:
-    """Stands in for ProcessPoolExecutor: records the workers asked for and
-    runs the jobs in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records the workers and the chunk
+    size asked for and runs the jobs in this process, so no worker is ever
+    started."""
 
     asked = []
+    chunks = []
 
     def __init__(self, max_workers):
         self.asked.append(max_workers)
@@ -162,7 +164,8 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
+    def map(self, fn, jobs, chunksize=1):
+        self.chunks.append(chunksize)
         return map(fn, jobs)
 
 
@@ -171,6 +174,7 @@ class TestPoolSize:
     def asked(self, monkeypatch):
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(SerialPool, "asked", [])
+        monkeypatch.setattr(SerialPool, "chunks", [])
         return SerialPool.asked
 
     def test_pool_is_no_larger_than_the_rules(self, asked, tmp_path):
@@ -190,6 +194,55 @@ class TestPoolSize:
         again = run_sweep(small_config(workers=4, rule_numbers=[0, 256]), journal_path=journal)
         assert asked == []
         assert again.to_json() == first.to_json()
+
+    @pytest.mark.parametrize(
+        "rules, workers, chunk",
+        [(256, 2, 8), (9, 2, 1), (64, 4, 4), (1024, 2, 8), (15, 2, 1), (16, 2, 2)],
+    )
+    def test_tasks_carry_at_most_eight_rules_and_each_worker_four_tasks(
+        self, asked, rules, workers, chunk
+    ):
+        config = small_config(
+            workers=workers,
+            rule_numbers=single_division_subset()[:rules],
+            budget=Budget(max_steps=2, max_order=20_000),
+        )
+        report = run_sweep(config)
+        assert asked == [workers]
+        assert SerialPool.chunks == [chunk]
+        assert [rec["rule"] for rec in report.records] == single_division_subset()[:rules]
+
+
+class TestChunkedPool:
+    """A real 2-worker pool over 64 rules, so that every task carries 8."""
+
+    @staticmethod
+    def config(workers):
+        return small_config(
+            workers=workers,
+            rule_numbers=single_division_subset()[::16],
+            budget=Budget(max_steps=30, max_order=2_000),
+        )
+
+    def test_matches_one_worker(self, tmp_path):
+        assert sweep._chunksize(64, 2) == 8
+        serial = run_sweep(self.config(1), journal_path=tmp_path / "serial.jsonl")
+        pooled = run_sweep(self.config(2), journal_path=tmp_path / "pooled.jsonl")
+        assert len(pooled.records) == 64
+        assert pooled.to_json() == serial.to_json()
+        assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    def test_journal_cut_inside_a_task_resumes_to_clean_bytes(self, tmp_path):
+        clean_journal = tmp_path / "clean.jsonl"
+        clean = run_sweep(self.config(1), journal_path=clean_journal)
+        # 12 records end halfway through the second task of 8, and the cut
+        # leaves half of the 13th line
+        lines = clean_journal.read_bytes().splitlines(keepends=True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_bytes(b"".join(lines[: 1 + 12]) + lines[13][:20])
+        resumed = run_sweep(self.config(2), journal_path=partial)
+        assert resumed.to_json() == clean.to_json()
+        assert partial.read_bytes() == clean_journal.read_bytes()
 
 
 class TestResume:
