@@ -7,7 +7,6 @@ divides flagged vertices into triangles of clones, preserving
 sweep runner explores whole rule families.
 """
 
-from ._kernels import backend_name
 from .analysis import (
     ClassifyThresholds,
     EvolutionTrace,
@@ -50,7 +49,6 @@ __all__ = [
     "SweepConfig",
     "SweepReport",
     "apply_divisions",
-    "backend_name",
     "build_graph",
     "canonical_g0",
     "classify",

@@ -101,9 +101,10 @@ def _sweep(args) -> int:
     journal = out_dir / "journal.jsonl"
     report_path = out_dir / "report.json"
 
-    # rules run in ascending order and a rerun continues the journal, so a
-    # record's rank among the rules is how many are done
-    rank = {n: i for i, n in enumerate(sorted(config.rule_numbers), start=1)}
+    # rules run in the ascending order config holds them in and a rerun
+    # continues the journal, so a record's rank among the rules is how many
+    # are done
+    rank = {n: i for i, n in enumerate(config.rule_numbers, start=1)}
     total = len(rank)
 
     def progress(rec):
@@ -222,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except EngineInvariantError as exc:

@@ -73,12 +73,7 @@ def render_graph(g: Graph, fmt: str) -> str:
 
 
 def format_for_path(path: str, explicit: str | None = None) -> str:
-    if explicit:
-        return explicit
-    for ext, fmt in _EXTENSION_FORMATS.items():
-        if str(path).endswith(ext):
-            return fmt
-    return "edge-list"
+    return explicit or _EXTENSION_FORMATS.get(Path(path).suffix.lower(), "edge-list")
 
 
 def export_graph(g: Graph, fmt: str, path) -> None:

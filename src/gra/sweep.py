@@ -4,10 +4,12 @@ Rules are embarrassingly parallel: each rule is one full evolution plus
 classification, and a pool task carries a chunk of consecutive rules, so
 the starting graph is sent to a worker once per chunk.  Results are
 merged by rule number, so the report is identical for any worker count.
-A journal file gets a header line plus one JSON line per completed rule,
-flushed in ascending rule order.  A sweep always continues the journal it
-is given, so rerunning a killed sweep finishes it, and the finished
-journal is byte-identical to that of an uninterrupted run.
+SweepConfig holds its rules in ascending order, and that is the order in
+which they run, are recorded and are journaled.  run_sweep writes every
+journal line: a header, then one JSON line per completed rule, each
+flushed as it arrives.  A sweep always continues the journal it is given,
+so rerunning a killed sweep finishes it, and the finished journal is
+byte-identical to that of an uninterrupted run.
 """
 
 import functools
@@ -17,7 +19,6 @@ import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from typing import Optional
@@ -55,9 +56,10 @@ BASELINE_PERIOD_CENSUS = {1: 310, 2: 102, 3: 2, 6: 6, 8: 2}
 
 @dataclass
 class SweepConfig:
-    """What a sweep runs.  Building one checks every value and resolves
-    initial (a builtin name or a graph file) once: that graph is the one
-    the rules start from and the one reports describe."""
+    """What a sweep runs.  Building one checks every value, stores the rule
+    numbers as an ascending copy, and resolves initial (a builtin name or a
+    graph file) once: that graph is the one the rules start from and the one
+    reports describe."""
 
     rule_numbers: list[int]
     initial: str  # builtin name or path, echoed in reports
@@ -70,7 +72,8 @@ class SweepConfig:
             raise GraError("empty sweep: no rule numbers")
         for n in self.rule_numbers:
             check_rule_number(n, "rules entry")
-        repeated = sorted(n for n, k in Counter(self.rule_numbers).items() if k > 1)
+        self.rule_numbers = sorted(self.rule_numbers)
+        repeated = [n for n, k in Counter(self.rule_numbers).items() if k > 1]
         if repeated:
             raise GraError(f"rule number(s) listed twice: {', '.join(map(str, repeated))}")
         steps = self.budget.max_steps
@@ -108,7 +111,7 @@ class SweepConfig:
         """
         echo = self.echo()
         payload = {key: echo[key] for key in ("initial_digest", "budget", "thresholds")}
-        payload["rules"] = sorted(self.rule_numbers)
+        payload["rules"] = self.rule_numbers
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
@@ -160,11 +163,8 @@ class SweepReport:
                 census[p] = census.get(p, 0) + 1
         return dict(sorted(census.items()))
 
-    def baseline_enabled(self) -> bool:
-        return sorted(self.config.rule_numbers) == single_division_subset()
-
     def baseline_diff(self) -> Optional[dict]:
-        if not self.baseline_enabled():
+        if self.config.rule_numbers != single_division_subset():
             return None
         periods = self.period_census()
         period_keys = sorted({*periods, *BASELINE_PERIOD_CENSUS})
@@ -230,26 +230,19 @@ def _chunksize(rules: int, workers: int) -> int:
     return max(1, min(8, rules // (4 * workers)))
 
 
-def _run_rules(config: SweepConfig, todo: list[int], journal_fh, records: list, progress=None):
-    """Evolve+classify the rules in todo (ascending), appending each record
-    to records.  The pool gets no more workers than there are rules, and
-    fewer than two runs serially.  Both map and the pool's map yield in rule
-    order, so each journal line is written and flushed as its result
-    arrives, and a kill loses only the chunks in flight."""
+def _records(config: SweepConfig, todo: list[int]):
+    """Evolve+classify the rules in todo (ascending) and yield their records
+    in that order.  The pool gets no more workers than there are rules, and
+    fewer than two run serially.  Both map and the pool's map yield in rule
+    order, as each result arrives, so a kill loses only the chunks in
+    flight.  Closing the generator shuts the pool down."""
     run = functools.partial(_worker, config.initial_graph(), config.budget, config.thresholds)
     workers = min(config.workers, len(todo))
-    with ExitStack() as stack:
-        if workers < 2:
-            completed = map(run, todo)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            completed = pool.map(run, todo, chunksize=_chunksize(len(todo), workers))
-        for rec in completed:
-            records.append(rec)
-            if progress is not None:
-                progress(rec)
-            journal_fh.write(_journal_line(rec))
-            journal_fh.flush()
+    if workers < 2:
+        yield from map(run, todo)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, todo, chunksize=_chunksize(len(todo), workers))
 
 
 def _json_line(line: bytes, number: int):
@@ -287,14 +280,16 @@ def _parse_journal(data: bytes) -> tuple[Optional[str], list[dict], int]:
 
 
 def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepReport:
-    """Run every configured rule from the shared initial graph.
+    """Run every configured rule from the shared initial graph, in the
+    ascending order config holds them in.
 
-    With a journal_path whose file is missing or holds no complete line,
-    a header line is written and every rule runs.  Otherwise the sweep
-    continues that journal: an unterminated last line is cut off, the
-    rules already recorded are taken from it, and only the rest run and
-    get appended (ascending rule order).  A journal from another config
-    raises ConfigMismatchError and is left untouched: its fingerprint
+    This is the one function that writes journal lines.  With a journal_path
+    whose file is missing or holds no complete line, a header line is
+    written and every rule runs.  Otherwise the sweep continues that
+    journal: an unterminated last line is cut off, the rules already
+    recorded are taken from it, and only the rest run.  Each record is
+    appended as one line and flushed as it arrives.  A journal from another
+    config raises ConfigMismatchError and is left untouched: its fingerprint
     differs, a line is not JSON, its first line is not a header, or its
     records are not the first rules of this sweep in ascending order.
     Without a journal_path the same steps run against an in-memory
@@ -302,7 +297,7 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
     rule order, so never on a rerun of a finished sweep.  A worker process
     that dies raises WorkerDiedError; the journal keeps every record that
     arrived before it."""
-    todo = sorted(config.rule_numbers)
+    rules = config.rule_numbers
     expected = config.fingerprint()
     with (io.BytesIO() if journal_path is None else open(journal_path, "a+b")) as fh:
         fh.seek(0)
@@ -311,7 +306,7 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
             raise ConfigMismatchError(
                 f"journal was produced by a different configuration ({fingerprint} != {expected})"
             )
-        if [rec["rule"] for rec in done] != todo[: len(done)]:
+        if [rec["rule"] for rec in done] != rules[: len(done)]:
             raise ConfigMismatchError(
                 "journal records are not the first rules of this sweep in ascending order"
             )
@@ -321,11 +316,18 @@ def run_sweep(config: SweepConfig, journal_path=None, progress=None) -> SweepRep
             fh.write(_journal_line(header))
         records = list(done)
         try:
-            _run_rules(config, todo[len(done):], fh, records, progress)
+            # the for statement holds the generator's only reference, so an
+            # exception raised here closes it, and its pool, right away
+            for rec in _records(config, rules[len(done):]):
+                records.append(rec)
+                if progress is not None:
+                    progress(rec)
+                fh.write(_journal_line(rec))
+                fh.flush()
         except BrokenProcessPool:
             raise WorkerDiedError(
                 f"a sweep worker process died; the journal holds {len(records)} of "
-                f"{len(todo)} rules, and rerunning the sweep continues it"
+                f"{len(rules)} rules, and rerunning the sweep continues it"
             ) from None
     return SweepReport(config=config, records=records)
 

@@ -26,6 +26,26 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--steps", "x", "5"], ["no-such-command"], [], ["sweep"]],
+        ids=["bad-int", "unknown-command", "no-command", "missing-required"],
+    )
+    def test_argument_errors_exit_usage(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "usage: gra" in err and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exits_ok(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("usage: gra")
+        assert err == ""
+
+
 class TestSimulate:
     def test_765_from_k4(self, tmp_path, capsys):
         csv = tmp_path / "series.csv"

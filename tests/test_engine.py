@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gra
 from gra import _kernels, engine
 from gra.analysis import ClassifyThresholds
 from gra.engine import (
@@ -271,7 +270,6 @@ class TestKernelNames:
 
     def test_backend_is_numpy(self):
         assert _kernels.backend_name() == "numpy"
-        assert gra.backend_name() == "numpy"
 
     def test_numba_probe_is_a_bool(self):
         assert isinstance(_kernels.HAS_NUMBA, bool)

@@ -92,6 +92,7 @@ class TestFormatForPath:
             ("g.dot", "graphml", "graphml"),
             ("g.txt", None, "edge-list"),
             ("g", None, "edge-list"),
+            ("G.DOT", None, "dot"),
         ],
     )
     def test_explicit_format_wins_and_unknown_extension_is_edge_list(self, path, explicit, fmt):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import re
 import time
 
@@ -64,6 +65,20 @@ class TestRunSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(GraError):
             small_config(rule_numbers=[])
+
+    def test_rules_held_ascending_in_a_copy(self, tmp_path):
+        given = [2222, 0, 256]
+        config = small_config(rule_numbers=given)
+        assert config.rule_numbers == [0, 256, 2222]
+        assert given == [2222, 0, 256]
+        shuffled = run_sweep(config, journal_path=tmp_path / "shuffled.jsonl")
+        ascending = run_sweep(
+            small_config(rule_numbers=[0, 256, 2222]), journal_path=tmp_path / "ascending.jsonl"
+        )
+        assert shuffled.to_json() == ascending.to_json()
+        assert (tmp_path / "shuffled.jsonl").read_bytes() == (
+            tmp_path / "ascending.jsonl"
+        ).read_bytes()
 
     def test_duplicate_rules_rejected(self):
         with pytest.raises(GraError, match="listed twice: 0$"):
@@ -243,6 +258,29 @@ class TestChunkedPool:
         resumed = run_sweep(self.config(2), journal_path=partial)
         assert resumed.to_json() == clean.to_json()
         assert partial.read_bytes() == clean_journal.read_bytes()
+
+    def test_progress_that_raises_leaves_no_worker_and_whole_lines(self, tmp_path):
+        clean_journal = tmp_path / "clean.jsonl"
+        clean = run_sweep(self.config(1), journal_path=clean_journal)
+        seen = []
+
+        def progress(rec):
+            seen.append(rec["rule"])
+            if len(seen) == 10:
+                raise RuntimeError("stop")
+
+        journal = tmp_path / "j.jsonl"
+        # raised keeps the traceback, and so run_sweep's frame, alive: the
+        # pool must be gone before that frame is
+        with pytest.raises(RuntimeError, match="^stop$") as raised:
+            run_sweep(self.config(2), journal_path=journal, progress=progress)
+        assert multiprocessing.active_children() == []
+        # the tenth record raised before its line was written
+        lines = clean_journal.read_bytes().splitlines(keepends=True)
+        assert journal.read_bytes() == b"".join(lines[: 1 + 9])
+        resumed = run_sweep(self.config(2), journal_path=journal)
+        assert resumed.to_json() == clean.to_json()
+        assert journal.read_bytes() == clean_journal.read_bytes()
 
 
 class TestResume:
