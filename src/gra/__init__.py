@@ -19,7 +19,7 @@ from .analysis import (
     zero_growth_intervals,
 )
 from .dense import reference_divide_dense, reference_step_dense
-from .engine import Budget, StepOutcome, apply_divisions, divide_vertex, evolve, step
+from .engine import Budget, apply_divisions, divide_vertex, evolve, step
 from .graph import (
     Graph,
     build_graph,
@@ -45,7 +45,6 @@ __all__ = [
     "GrowthCategory",
     "GrowthClassification",
     "Rule",
-    "StepOutcome",
     "SweepConfig",
     "SweepReport",
     "apply_divisions",

@@ -1,8 +1,8 @@
 """Command-line surface: simulate, sweep, export, classify, intervals.
 
 Exit codes: 0 success (budget stops included), 1 usage error, 2 I/O error,
-3 internal invariant violation (for sweep, also any rule whose run raised,
-or a worker process that died).
+3 internal invariant violation or any other unexpected exception (for
+sweep, also any rule whose run raised, or a worker process that died).
 """
 
 import argparse
@@ -133,8 +133,8 @@ def _export(args) -> int:
 def _read_series(path) -> EvolutionTrace:
     """A recorded series as a trace.  It carries no state history, so cycles
     cannot be confirmed from it; its verdict is growth-pattern only."""
-    with open(path, "r", encoding="utf-8") as fh:
-        orders = parse_series_csv(fh.read())
+    # a byte that is not UTF-8 reads as U+FFFD, which the parser refuses by line
+    orders = parse_series_csv(Path(path).read_text(encoding="utf-8", errors="replace"))
     return EvolutionTrace(orders=np.asarray(orders, dtype=np.int64), stop_reason=STOP_MAX_STEPS)
 
 
@@ -241,9 +241,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # a bug, not bad input: one line, as for a crashed sweep rule
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

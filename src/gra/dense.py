@@ -5,12 +5,13 @@ the rule tables, and all of a step's divisions are one duplication product
 E A E^T (each divider's row and column tripled) followed by masks that leave
 each clone one inherited edge and give each divider its triangle.  It is
 deliberately independent of the flat-table engine (dense masks in canonical
-labels instead of patches to stable-id tables) and only meant for modest orders.
+labels instead of patches to stable-id tables): it imports only the graph,
+rule and error modules, never gra.engine or gra._kernels.  It is only meant
+for modest orders.
 """
 
 import numpy as np
 
-from .engine import StepOutcome
 from .errors import IndexOutOfRangeError, LengthMismatchError, OracleCapExceededError
 from .graph import Graph
 from .rules import Rule
@@ -83,8 +84,8 @@ def reference_apply_divisions_dense(
     return a2.astype(adjacency.dtype), np.repeat(states, reps)
 
 
-def reference_step_dense(g: Graph, rule: Rule) -> StepOutcome:
-    """Same observable result as engine.step, computed on dense matrices;
+def reference_step_dense(g: Graph, rule: Rule) -> Graph:
+    """The graph engine.step makes, computed on dense matrices;
     OracleCapExceededError for a graph above DEFAULT_ORACLE_CAP vertices."""
     if g.order > DEFAULT_ORACLE_CAP:
         raise OracleCapExceededError(f"order {g.order} exceeds oracle cap {DEFAULT_ORACLE_CAP}")
@@ -93,6 +94,4 @@ def reference_step_dense(g: Graph, rule: Rule) -> StepOutcome:
     conf = 4 * s64 + a.astype(np.int64) @ s64
     new_s = rule.next_state[conf].astype(np.uint8)
     division = rule.divides[conf].astype(np.int64)
-    n_div = int(division.sum())
-    a2, s2 = reference_apply_divisions_dense(a, new_s, division)
-    return StepOutcome(graph=graph_from_dense(a2, s2), divisions_performed=n_div)
+    return graph_from_dense(*reference_apply_divisions_dense(a, new_s, division))

@@ -60,14 +60,6 @@ CYCLE_WINDOW_CAP = 100_000
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    """The graph one step made, and how many vertices divided in that step."""
-
-    graph: Graph
-    divisions_performed: int
-
-
-@dataclass(frozen=True)
 class Budget:
     """Stop conditions for evolve; the first limit reached wins.
 
@@ -96,18 +88,17 @@ class Budget:
             raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
 
 
-def step(g: Graph, rule: Rule) -> StepOutcome:
-    """Apply one synchronous step of the rule to the whole graph.
+def step(g: Graph, rule: Rule) -> Graph:
+    """The graph one synchronous step of the rule makes from g.
 
-    The graph comes back under canonical labels, and g is left as it was.
+    It comes back under canonical labels, and g is left as it was; the step
+    made (order - g.order) // 2 divisions.
     """
     new_states, div, n_div = _kernels.ACTIVE.step_tables(g.neighbors, g.states, rule.number)
     if n_div:
-        out = _divide_copy(g, new_states, div, n_div)
-    else:
-        # no topology change: share the immutable neighbor table
-        out = Graph._wrap(g.neighbors, new_states)
-    return StepOutcome(graph=out, divisions_performed=n_div)
+        return _divide_copy(g, new_states, div, n_div)
+    # no topology change: share the immutable neighbor table
+    return Graph._wrap(g.neighbors, new_states)
 
 
 def self_rank(neighbors: np.ndarray) -> np.ndarray:

@@ -51,6 +51,10 @@ class ConfigMismatchError(GraError):
     pass
 
 
+class SeriesFormatError(GraError, ValueError):
+    """A recorded t,order,increment series cannot be read."""
+
+
 class EngineInvariantError(GraError):
     """Internal consistency guard tripped; indicates an engine bug."""
 

@@ -233,7 +233,8 @@ def graph_to_edge_text(g: Graph) -> str:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as U+FFFD, which the parser refuses by line
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_graph_text(fh.read())
 
 

@@ -79,7 +79,7 @@ def test_c3_oracle_equivalence():
                 order, seed=int(rng.integers(2**31)), alive_probability=float(rng.random())
             )
             rule = decode(int(rng.integers(65536)))
-            if step(g, rule).graph != reference_step_dense(g, rule).graph:
+            if step(g, rule) != reference_step_dense(g, rule):
                 mismatches += 1
         g0 = canonical_g0()
         for n in single_division_subset():
@@ -88,9 +88,9 @@ def test_c3_oracle_equivalence():
             for _ in range(5):
                 fast = step(g, rule)
                 ref = reference_step_dense(g, rule)
-                if fast.graph != ref.graph:
+                if fast != ref:
                     mismatches += 1
-                g = fast.graph
+                g = fast
         assert mismatches == 0
 
 
@@ -104,8 +104,8 @@ def test_c4_color_symmetry_commutation():
                 order, seed=int(rng.integers(2**31)), alive_probability=float(rng.random())
             )
             rule = decode(int(rng.integers(65536)))
-            lhs = step(complement_states(g), complement_rule(rule)).graph
-            rhs = complement_states(step(g, rule).graph)
+            lhs = step(complement_states(g), complement_rule(rule))
+            rhs = complement_states(step(g, rule))
             if lhs != rhs:
                 mismatches += 1
         assert mismatches == 0
@@ -135,12 +135,12 @@ def test_c6_invariant_suite():
                 out = step(g, rule)
                 steps_done += 1
                 try:
-                    out.graph.validate()
+                    out.validate()
                 except Exception:
                     violations += 1
-                if out.graph.order - g.order != 2 * expected_div or out.graph.order < g.order:
+                if out.order - g.order != 2 * expected_div or out.order < g.order:
                     violations += 1
-                g = out.graph
+                g = out
                 if g.order > 3000 or steps_done >= 10_000:
                     break
         assert violations == 0, f"{violations} violations in {steps_done} steps"
@@ -303,7 +303,7 @@ def test_c9_step_cost_scales_linearly():
         for g in graphs:
             for _ in range(3):  # warm the allocator and caches for this size
                 out = step(g, rule)
-            assert out.graph.order > g.order  # the rule must exercise divisions
+            assert out.order > g.order  # the rule must exercise divisions
         # round-robin, one step per order each round, so a burst of host
         # load lands on every order alike instead of on one order's samples
         times = [[] for _ in orders]

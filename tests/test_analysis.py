@@ -51,7 +51,7 @@ def prism_on_its_cycle():
     states first return after 6 steps."""
     g = build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 0))
     for _ in range(2):
-        g = step(g, decode(135)).graph
+        g = step(g, decode(135))
     return g
 
 

@@ -1,9 +1,11 @@
 import json
 import os
+import time
+from pathlib import Path
 
 import pytest
 
-from gra import _kernels, sweep
+from gra import _kernels, cli, sweep
 from gra.cli import main
 from gra.graph import load_graph
 from gra.rules import single_division_subset
@@ -11,11 +13,22 @@ from gra.rules import single_division_subset
 
 _real_worker = sweep._worker
 
+# names the journal _dies_on_rule_770 watches; forked and spawned pool
+# workers both inherit the environment
+DEATH_JOURNAL = "GRA_TEST_DEATH_JOURNAL"
+
 
 def _dies_on_rule_770(g0, budget, thresholds, rule_number):
-    """A sweep worker whose process dies on rule 770.  Pickled by name, so it
-    lives at module level, where a forked pool worker finds it."""
+    """A sweep worker whose process dies on rule 770, once the journal holds
+    its header and the records of rules 0 and 256 (or after 30 s), so the
+    sweep of [0, 256, 770, 2222] always dies with 2 of 4 rules journaled.
+    Pickled by name, so it lives at module level, where a pool worker finds
+    it."""
     if rule_number == 770:
+        journal = Path(os.environ[DEATH_JOURNAL])
+        deadline = time.monotonic() + 30
+        while journal.read_bytes().count(b"\n") < 3 and time.monotonic() < deadline:
+            time.sleep(0.005)
         os._exit(9)
     return _real_worker(g0, budget, thresholds, rule_number)
 
@@ -161,6 +174,25 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert err == "internal error: order changed by 1 for 1 divisions\n"
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_unexpected_exception_exits_internal_with_one_line(self, capsys, monkeypatch, error):
+        def evolve(g0, rule, budget):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "evolve", evolve)
+        code, out, err = run(["simulate", "2222", "--steps", "5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {error.__name__}: boom\n"
+
+    def test_graph_file_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        graph = tmp_path / "bad.graph"
+        graph.write_bytes(b"0 1\n0 \xff\n")
+        code, out, err = run(["simulate", "0", "--initial", str(graph)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: not an integer in '0 \ufffd'\n"
 
 
 class TestExportCommand:
@@ -492,6 +524,7 @@ class TestSweepCommand:
         clean_dir, out_dir = tmp_path / "clean", tmp_path / "o"
         run(["sweep", "--config", str(config), "--out", str(clean_dir)], capsys)
         monkeypatch.setattr(sweep, "_worker", _dies_on_rule_770)
+        monkeypatch.setenv(DEATH_JOURNAL, str(out_dir / "journal.jsonl"))
         code, out, err = run(["sweep", "--config", str(config), "--out", str(out_dir)], capsys)
         assert code == 3
         assert out == ""
@@ -577,6 +610,15 @@ class TestClassifyCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: line 3: order must be positive")
+
+    @pytest.mark.parametrize("command", ["classify", "intervals"])
+    def test_csv_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys, command):
+        csv = tmp_path / "series.csv"
+        csv.write_bytes(b"t,order,increment\n0,4,0\n1,\xff,0\n")
+        code, out, err = run([command, "--csv", str(csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 3: expected t,order,increment, got '1,\ufffd,0'\n"
 
 
 class TestIntervalsCommand:

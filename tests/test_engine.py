@@ -139,46 +139,47 @@ class TestStep:
     def test_k4_under_765(self):
         # configurations (4,1,1,1): vertex 0 stays alive, the rest die and
         # divide, growing the order from 4 to 10
-        out = step(k4_one_alive(), decode(765))
-        assert out.divisions_performed == 3
-        assert out.graph.order == 10
-        assert out.graph.states[0] == 1
-        out.graph.validate()
+        g = k4_one_alive()
+        out = step(g, decode(765))
+        assert out.order - g.order == 2 * 3
+        assert out.order == 10
+        assert out.states[0] == 1
+        out.validate()
 
     def test_rule_zero_kills_everything(self):
         g = canonical_g0()
         out = step(g, decode(0))
-        assert not out.graph.states.any()
-        assert out.divisions_performed == 0
-        assert np.array_equal(out.graph.neighbors, g.neighbors)
+        assert not out.states.any()
+        assert out.order == g.order
+        assert np.array_equal(out.neighbors, g.neighbors)
 
     def test_all_dead_under_256_triples(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 0, 0, 0))
         out = step(g, decode(256))
-        assert out.graph.order == 12
-        assert not out.graph.states.any()
-        out.graph.validate()
+        assert out.order == 12
+        assert not out.states.any()
+        out.validate()
 
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_invariants_preserved(self, g, rule):
         out = step(g, rule)
-        out.graph.validate()
-        assert out.graph.order - g.order == 2 * out.divisions_performed
-        assert out.graph.order >= g.order
+        out.validate()
+        assert out.order - g.order == 2 * int(rule.divides[configuration_vector(g)].sum())
+        assert out.order >= g.order
 
     @given(graphs(), rules)
     @settings(max_examples=60, deadline=None)
     def test_divisions_match_division_vector(self, g, rule):
         conf = configuration_vector(g)
         expected = int(rule.divides[conf].sum())
-        assert step(g, rule).divisions_performed == expected
+        assert step(g, rule).order - g.order == 2 * expected
 
     @given(graphs(), rules)
     @settings(max_examples=80, deadline=None)
     def test_color_symmetry_commutation(self, g, rule):
-        lhs = step(complement_states(g), complement_rule(rule)).graph
-        rhs = complement_states(step(g, rule).graph)
+        lhs = step(complement_states(g), complement_rule(rule))
+        rhs = complement_states(step(g, rule))
         assert lhs == rhs
 
 
@@ -247,7 +248,7 @@ class TestBackendEquivalence:
         for _ in range(100):  # it passes 10,000 at step 51
             if g.order >= 10_000:
                 break
-            g = step(g, rule).graph
+            g = step(g, rule)
         assert g.order >= 10_000
         ref = loop_step_tables(g.neighbors, g.states, rule.number)
         out = _kernels.step_tables(g.neighbors, g.states, rule.number)
@@ -412,12 +413,12 @@ def public_step_evolve(g, rule, budget):
     due = period = None
     for t in range(1, budget.max_steps + 1):
         out = step(g, rule)
-        orders.append(out.graph.order)
-        if out.graph.order > budget.max_order:
+        orders.append(out.order)
+        if out.order > budget.max_order:
             return orders, "max-order", None, g
-        g = out.graph
+        g = out
         key = g.states.tobytes()
-        if out.divisions_performed:
+        if orders[-1] != orders[-2]:
             seen, due = {key: t}, None
             continue
         if t == due:
@@ -607,9 +608,9 @@ class TestCycleConfirmation:
         final = g
         for t in range(1, trace.steps + 1):
             out = step(final, rule)
-            assert out.graph.order == trace.orders[t]
-            if out.graph.order <= budget.max_order:
-                final = out.graph
+            assert out.order == trace.orders[t]
+            if out.order <= budget.max_order:
+                final = out
         assert trace.final_graph == final
         if trace.stop_reason == "max-steps":
             assert trace.steps == k
@@ -618,7 +619,7 @@ class TestCycleConfirmation:
             returns, cur = [], final
             for _ in range(trace.cycle_period):
                 out = step(cur, rule)
-                assert out.divisions_performed == 0
-                cur = out.graph
+                assert out.order == cur.order
+                cur = out
                 returns.append(np.array_equal(cur.states, final.states))
             assert returns == [False] * (trace.cycle_period - 1) + [True]
