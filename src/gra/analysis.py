@@ -242,23 +242,16 @@ def fit_growth(
 # increment statistics
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Periodicity:
-    period: int
-    preperiod: int
-
-
 def increment_periodicity(
     increments: Sequence[int], cap: int = ClassifyThresholds.periodicity_cap
-) -> Optional[Periodicity]:
-    """Smallest eventual period of the increment sequence, with its shortest
-    preperiod, confirmed over the whole observed suffix.
+) -> Optional[int]:
+    """Smallest eventual period of the increment sequence, confirmed over
+    the whole observed suffix, or None if no period up to cap fits.
 
-    A period p is accepted only when the periodic suffix spans at least
-    three full periods and at least half of the observed sequence; the
-    second condition keeps an accidentally constant tail of a long aperiodic
-    sequence from passing as eventual periodicity.  Returns None if no
-    period up to the cap fits.
+    A period p is accepted only when the suffix after its shortest
+    preperiod spans at least three full periods and at least half of the
+    observed sequence; the second condition keeps an accidentally constant
+    tail of a long aperiodic sequence from passing as eventual periodicity.
     """
     a = np.asarray(increments)
     n = len(a)
@@ -267,7 +260,7 @@ def increment_periodicity(
         mism = np.flatnonzero(a[: n - p] != a[p:])
         preperiod = int(mism[-1]) + 1 if len(mism) else 0
         if n - preperiod >= max(3 * p, (n + 1) // 2):
-            return Periodicity(period=p, preperiod=preperiod)
+            return p
     return None
 
 
@@ -305,14 +298,14 @@ def classify(
 ) -> GrowthClassification:
     """Assign a growth category to an evolution trace.
 
-    Decision order: a confirmed state cycle means Halted.  Otherwise the
-    increment sequence decides the linear family: eventually constant is
-    LinearStrict, eventually periodic is LinearPeriodic.  Otherwise the
-    three growth models are fitted on the trailing window and the winner
-    (by adjusted R2, near-ties to the simpler model) must clear its
-    threshold: linear -> LinearChaotic, power with exponent in the
-    quadratic band -> Quadratic, exponential -> Exponential.  Anything
-    else is Unclassified.
+    Decision order: a confirmed state cycle means Halted.  Otherwise an
+    eventual period of the increment sequence decides the linear family
+    and is recorded as increment_period: period 1 (eventually constant) is
+    LinearStrict, a longer one LinearPeriodic.  Otherwise the three growth
+    models are fitted on the trailing window and the winner (by adjusted
+    R2, near-ties to the simpler model) must clear its threshold: linear
+    -> LinearChaotic, power with exponent in the quadratic band ->
+    Quadratic, exponential -> Exponential.  Anything else is Unclassified.
     """
     th = thresholds or ClassifyThresholds()
 
@@ -321,19 +314,10 @@ def classify(
             category=GrowthCategory.HALTED, cycle_period=trace.cycle_period, thresholds=th
         )
 
-    periodicity = increment_periodicity(trace.increments, cap=th.periodicity_cap)
-    if periodicity is not None:
-        if periodicity.period == 1:
-            return GrowthClassification(
-                category=GrowthCategory.LINEAR_STRICT,
-                increment_period=1,
-                thresholds=th,
-            )
-        return GrowthClassification(
-            category=GrowthCategory.LINEAR_PERIODIC,
-            increment_period=periodicity.period,
-            thresholds=th,
-        )
+    period = increment_periodicity(trace.increments, cap=th.periodicity_cap)
+    if period is not None:
+        category = GrowthCategory.LINEAR_STRICT if period == 1 else GrowthCategory.LINEAR_PERIODIC
+        return GrowthClassification(category=category, increment_period=period, thresholds=th)
 
     try:
         fits = fit_growth(trace.orders, window=fit_window(trace.steps, th.window_fraction))

@@ -3,6 +3,8 @@
 Exit codes: 0 success (budget stops included), 1 usage error, 2 I/O error,
 3 internal invariant violation or any other unexpected exception (for
 sweep, also any rule whose run raised, or a worker process that died).
+An engine invariant violation prints "internal error: <message>", any other
+unexpected exception "internal error: <Type>: <message>".
 """
 
 import argparse

@@ -242,7 +242,9 @@ def divide_vertex(g: Graph, v: int) -> Graph:
     """Divide a single vertex: replace it by a triangle of three clones on
     consecutive indices, each inheriting one former neighbor (ascending
     neighbor index to ascending clone index) and the current state of v.
+    GraError names a v that is not an integer (a bool is none).
     """
+    check_number(v, "vertex", integer=True)
     if not 0 <= v < g.order:
         raise IndexOutOfRangeError(f"vertex {v} out of range for order {g.order}")
     d = np.zeros(g.order, dtype=np.uint8)

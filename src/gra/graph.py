@@ -114,9 +114,9 @@ def build_graph(edge_list: Iterable[Edge], states: Sequence[int]) -> Graph:
     DuplicateEdgeError or IndexOutOfRangeError on invalid input.
     """
     states_arr = np.asarray(states)
-    order = states_arr.shape[0]
     if states_arr.ndim != 1:
         raise NonBinaryStateError("states must be a flat sequence")
+    order = states_arr.shape[0]
     if not np.isin(states_arr, (0, 1)).all():
         raise NonBinaryStateError("states must contain only 0 and 1")
     if order < 4:

@@ -9,7 +9,6 @@ from gra.analysis import (
     ClassifyThresholds,
     EvolutionTrace,
     GrowthCategory,
-    Periodicity,
     classify,
     fit_growth,
     increment_periodicity,
@@ -229,18 +228,15 @@ class TestFitGrowth:
 
 class TestIncrementPeriodicity:
     def test_constant(self):
-        assert increment_periodicity([2] * 30) == Periodicity(period=1, preperiod=0)
+        assert increment_periodicity([2] * 30) == 1
 
     def test_seven_step_pattern(self):
         pattern = [2, 0, 0, 2, 0, 0, 0]
-        out = increment_periodicity(pattern * 12)
-        assert out == Periodicity(period=7, preperiod=0)
+        assert increment_periodicity(pattern * 12) == 7
 
     def test_preperiod(self):
         seq = [6, 4, 6] + [2, 0] * 40
-        out = increment_periodicity(seq)
-        assert out.period == 2
-        assert out.preperiod == 3
+        assert increment_periodicity(seq) == 2
 
     def test_aperiodic(self):
         phi = (1 + 5**0.5) / 2
@@ -286,17 +282,23 @@ class TestClassify:
         assert cls.cycle_period == 1
         assert (trace.increments == 0).all()
 
-    def test_linear_strict(self):
-        trace = trace_from_increments([2] * 300)
-        cls = classify(trace)
+    @pytest.mark.parametrize(
+        "incs", [[2] * 300, [6, 4] + [2] * 300], ids=["constant", "after-preperiod"]
+    )
+    def test_linear_strict(self, incs):
+        cls = classify(trace_from_increments(incs))
         assert cls.category is GrowthCategory.LINEAR_STRICT
         assert cls.increment_period == 1
 
-    def test_linear_periodic(self):
-        trace = trace_from_increments([2, 0, 0, 2, 0, 0, 0] * 60)
-        cls = classify(trace)
+    @pytest.mark.parametrize(
+        "incs, period",
+        [([2, 0, 0, 2, 0, 0, 0] * 60, 7), ([6, 4, 6] + [2, 0] * 150, 2)],
+        ids=["seven-step", "after-preperiod"],
+    )
+    def test_linear_periodic(self, incs, period):
+        cls = classify(trace_from_increments(incs))
         assert cls.category is GrowthCategory.LINEAR_PERIODIC
-        assert cls.increment_period == 7
+        assert cls.increment_period == period
 
     def test_linear_chaotic(self):
         # Sturmian increments: aperiodic but with bounded deviation from a

@@ -83,6 +83,14 @@ class TestDivideVertex:
         with pytest.raises(IndexOutOfRangeError):
             divide_vertex(k4_one_alive(), 4)
 
+    @pytest.mark.parametrize("v", [True, 1.0, "1"])
+    def test_vertex_that_is_not_an_integer_refused(self, v):
+        with pytest.raises(GraError, match="^vertex must be an integer"):
+            divide_vertex(k4_one_alive(), v)
+
+    def test_numpy_integer_vertex_divides_one_vertex(self):
+        assert divide_vertex(k4_one_alive(), np.int64(1)) == divide_vertex(k4_one_alive(), 1)
+
     def test_clones_inherit_current_state(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 1, 0, 0))
         out = divide_vertex(g, 1)

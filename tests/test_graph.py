@@ -69,8 +69,9 @@ class TestBuildGraph:
             build_graph(K4_EDGES, (2, 0, 0, 0))
 
     def test_states_that_are_not_flat_refused(self):
-        with pytest.raises(NonBinaryStateError, match="^states must be a flat sequence$"):
-            build_graph(K4_EDGES, [(1, 0), (0, 0)])
+        for states in ([(1, 0), (0, 0)], 5):
+            with pytest.raises(NonBinaryStateError, match="^states must be a flat sequence$"):
+                build_graph(K4_EDGES, states)
 
     def test_too_small(self):
         with pytest.raises(GraphValidationError):
