@@ -252,7 +252,12 @@ def increment_periodicity(
     preperiod spans at least three full periods and at least half of the
     observed sequence; the second condition keeps an accidentally constant
     tail of a long aperiodic sequence from passing as eventual periodicity.
+    A cap that is not an integer of at least 1 raises GraError, as it does
+    in ClassifyThresholds.
     """
+    check_number(cap, "cap", integer=True)
+    if cap < 1:
+        raise GraError(f"cap must be at least 1, got {cap}")
     a = np.asarray(increments)
     n = len(a)
     max_p = min(cap, n // 3)

@@ -2,7 +2,15 @@
 
 import numpy as np
 
+from .errors import check_number
 from .graph import Graph, build_graph
+
+
+def _check_order(order) -> None:
+    """GraError unless order is an integer, ValueError unless it is even and >= 4."""
+    check_number(order, "order", integer=True)
+    if order < 4 or order % 2:
+        raise ValueError("order must be even and >= 4")
 
 
 def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) -> Graph:
@@ -12,8 +20,7 @@ def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) 
     Built directly as a neighbor table so multi-million-vertex graphs are
     cheap; states are drawn from the seeded generator.
     """
-    if order < 4 or order % 2:
-        raise ValueError("order must be even and >= 4")
+    _check_order(order)
     idx = np.arange(order, dtype=np.int64)
     neighbors = np.stack(
         (((idx - 1) % order), ((idx + 1) % order), ((idx + order // 2) % order)), axis=1
@@ -34,8 +41,7 @@ def random_regular_graph(order: int, seed: int = 0, alive_probability: float = 0
     probability tending to exp(-2): about e**2 = 7.4 draws per graph,
     up to about 11 at orders below 30.
     """
-    if order < 4 or order % 2:
-        raise ValueError("order must be even and >= 4")
+    _check_order(order)
     rng = np.random.default_rng(seed)
     while True:
         u, v = np.sort(rng.permutation(3 * order).reshape(-1, 2) // 3, axis=1).T

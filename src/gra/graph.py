@@ -107,11 +107,23 @@ class Graph:
             raise GraphValidationError("neighbor table is not symmetric")
 
 
-def build_graph(edge_list: Iterable[Edge], states: Sequence[int]) -> Graph:
-    """Build and validate a Graph from an unordered edge list and a state list.
+def build_graph(edge_list: Iterable[Edge] | np.ndarray, states: Sequence[int]) -> Graph:
+    """Build a Graph from an unordered edge list and a state list.
 
-    Raises NotThreeRegularError, NonBinaryStateError, SelfLoopError,
-    DuplicateEdgeError or IndexOutOfRangeError on invalid input.
+    The edges are a sequence of integer pairs or an (m, 2) integer array.
+    Refused, in this order, each by one check over the whole array:
+    states that are not a flat sequence of 0 and 1 (NonBinaryStateError);
+    fewer than four vertices (GraphValidationError); edges that are not
+    pairs of integers (GraphValidationError); an endpoint out of range
+    (IndexOutOfRangeError); a self-loop (SelfLoopError); a repeated edge
+    (DuplicateEdgeError); a vertex of degree other than 3
+    (NotThreeRegularError).  With several faults, the error reported
+    follows the order of these checks, not the order of the list.
+
+    The table needs no second validation: every edge is written as two
+    arcs, one into each endpoint's row, so the table is symmetric, and
+    one sort of the arcs gives each row its three neighbors in ascending
+    order, strictly so because no edge loops or repeats.
     """
     states_arr = np.asarray(states)
     if states_arr.ndim != 1:
@@ -122,29 +134,28 @@ def build_graph(edge_list: Iterable[Edge], states: Sequence[int]) -> Graph:
     if order < 4:
         raise GraphValidationError(f"order {order} < 4 (smallest 3-regular graph is K4)")
 
-    seen: set[Edge] = set()
-    adj: list[list[int]] = [[] for _ in range(order)]
-    for u, v in edge_list:
-        u, v = int(u), int(v)
-        if not (0 <= u < order and 0 <= v < order):
-            raise IndexOutOfRangeError(f"edge ({u}, {v}) out of range for order {order}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-
-    for v in range(order):
-        if len(adj[v]) != 3:
-            raise NotThreeRegularError(f"vertex {v} has degree {len(adj[v])}, expected 3")
-
-    neighbors = np.array([sorted(row) for row in adj], dtype=np.int64)
-    g = Graph._wrap(neighbors, states_arr.astype(np.uint8))
-    g.validate()
-    return g
+    try:
+        e = np.asarray(list(edge_list) or np.empty((0, 2), np.int64))
+    except ValueError:  # pairs mixed with longer or shorter tuples
+        e = np.empty(0)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise GraphValidationError("edges must be pairs of integers")
+    out = e[((e < 0) | (e >= order)).any(axis=1)]
+    if out.size:
+        raise IndexOutOfRangeError(f"edge {tuple(out[0].tolist())} out of range for order {order}")
+    loops = e[e[:, 0] == e[:, 1], 0]
+    if loops.size:
+        raise SelfLoopError(f"self-loop at vertex {loops[0]}")
+    # each edge as two arcs u -> v, keyed u * order + v: sorted, they are the table's rows
+    arcs = np.sort(np.concatenate((e, e[:, ::-1])).astype(np.int64) @ (order, 1))
+    repeated = arcs[1:][arcs[1:] == arcs[:-1]]
+    if repeated.size:  # the lowest repeated arc is a pair u < v
+        raise DuplicateEdgeError(f"duplicate edge {divmod(int(repeated[0]), order)}")
+    degree = np.bincount(arcs // order, minlength=order)
+    wrong = np.flatnonzero(degree != 3)
+    if wrong.size:
+        raise NotThreeRegularError(f"vertex {wrong[0]} has degree {degree[wrong[0]]}, expected 3")
+    return Graph._wrap((arcs % order).reshape(order, 3), states_arr.astype(np.uint8))
 
 
 def configuration_vector(g: Graph) -> np.ndarray:

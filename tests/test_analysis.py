@@ -248,6 +248,11 @@ class TestIncrementPeriodicity:
         seq = list(rng.choice([0, 2, 4], size=2000)) + [2] * 9
         assert increment_periodicity(seq) is None
 
+    @pytest.mark.parametrize("cap", [0, -3, 1.5, True])
+    def test_cap_that_classify_thresholds_refuse_is_refused(self, cap):
+        with pytest.raises(GraError, match="^cap must be"):
+            increment_periodicity([2] * 30, cap)
+
 
 class TestZeroGrowthIntervals:
     def test_hand_count(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from gra.errors import GraError
 from gra.generate import random_regular_graph, ring_chord_graph
 
 
@@ -26,3 +27,10 @@ class TestRingChordGraph:
     def test_bad_order_refused(self, order):
         with pytest.raises(ValueError, match="^order must be even and >= 4$"):
             ring_chord_graph(order)
+
+
+@pytest.mark.parametrize("generate", [random_regular_graph, ring_chord_graph])
+@pytest.mark.parametrize("order", [8.0, True, "8"])
+def test_order_that_is_not_an_integer_refused(generate, order):
+    with pytest.raises(GraError, match="^order must be an integer"):
+        generate(order)

@@ -83,6 +83,25 @@ class TestBuildGraph:
         with pytest.raises(NotThreeRegularError):
             build_graph(edges, (0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("edge", [(0, 1.5), (0, 1, 2), ("0", "1")])
+    def test_edge_that_is_not_an_integer_pair_refused(self, edge):
+        with pytest.raises(GraphValidationError, match="pairs of integers"):
+            build_graph([edge] + K4_EDGES[1:], (1, 0, 0, 0))
+
+    def test_integer_array_of_edges(self):
+        edges = np.array(PRISM_EDGES, dtype=np.int32)
+        assert build_graph(edges, (1, 0, 0, 0, 0, 1)) == build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 1))
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_any_edge_order_builds_the_same_valid_graph(self, g, rnd):
+        # the table is valid by construction, whatever the order of the list
+        edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rnd.shuffle(edges)
+        h = build_graph(edges, g.states)
+        h.validate()
+        assert h == g
+
 
 def _with(a, index, value):
     a = a.copy()
