@@ -96,7 +96,8 @@ class ClassifyThresholds:
     def __post_init__(self):
         for f in fields(self):
             if f.name != "quadratic_exponent_band":
-                check_number(getattr(self, f.name), f.name, integer=f.type is int)
+                least = 1 if f.name == "periodicity_cap" else None
+                check_number(getattr(self, f.name), f.name, integer=f.type is int, least=least)
             if f.name.startswith("theta_") and getattr(self, f.name) > 1:
                 raise GraError(f"{f.name} must be at most 1, got {getattr(self, f.name)!r}")
         band = self.quadratic_exponent_band
@@ -109,8 +110,6 @@ class ClassifyThresholds:
         object.__setattr__(self, "quadratic_exponent_band", tuple(band))
         if not 0 < self.window_fraction <= 1:
             raise GraError(f"window_fraction must be in (0, 1], got {self.window_fraction!r}")
-        if self.periodicity_cap < 1:
-            raise GraError(f"periodicity_cap must be at least 1, got {self.periodicity_cap}")
         if not 0 <= self.tie_epsilon < math.inf:
             raise GraError(f"tie_epsilon must be finite and at least 0, got {self.tie_epsilon!r}")
 
@@ -255,9 +254,7 @@ def increment_periodicity(
     A cap that is not an integer of at least 1 raises GraError, as it does
     in ClassifyThresholds.
     """
-    check_number(cap, "cap", integer=True)
-    if cap < 1:
-        raise GraError(f"cap must be at least 1, got {cap}")
+    check_number(cap, "cap", integer=True, least=1)
     a = np.asarray(increments)
     n = len(a)
     max_p = min(cap, n // 3)

@@ -76,16 +76,12 @@ class Budget:
     wall_clock: Optional[float] = None
 
     def __post_init__(self):
-        check_number(self.max_steps, "max_steps", integer=True)
-        check_number(self.max_order, "max_order", integer=True)
+        check_number(self.max_steps, "max_steps", integer=True, least=0)
+        check_number(self.max_order, "max_order", integer=True, least=1)
         if self.wall_clock is not None:
             check_number(self.wall_clock, "wall_clock")
-        if self.max_steps < 0:
-            raise GraError(f"max_steps must be at least 0, got {self.max_steps}")
-        if self.max_order < 1:
-            raise GraError(f"max_order must be at least 1, got {self.max_order}")
-        if self.wall_clock is not None and not self.wall_clock > 0:
-            raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
+            if not self.wall_clock > 0:
+                raise GraError(f"wall_clock must be positive, got {self.wall_clock}")
 
 
 def step(g: Graph, rule: Rule) -> Graph:
@@ -142,8 +138,6 @@ class StableGraph:
         ascending.  Raises EngineInvariantError unless the positions are a
         permutation of the ids.
         """
-        if self.splits is None:
-            return Graph._wrap(self.neighbors, self.states)
         pos = canonical_positions(self.splits, self.order)
         counts = np.bincount(pos)  # sizes are positive, so no position is negative
         if counts.shape[0] != self.order or not counts.all():
@@ -268,10 +262,7 @@ def apply_divisions(g: Graph, d) -> Graph:
     if not np.isin(d, (0, 1)).all():
         raise NonBinaryStateError("division vector entries must be 0 or 1")
     d = d.astype(np.uint8)
-    n_div = int(d.sum())
-    if n_div == 0:
-        return g
-    return _divide_copy(g, g.states, d, n_div)
+    return _divide_copy(g, g.states, d, int(d.sum()))
 
 
 def evolve(g0: Graph, rule: Rule, budget: Budget) -> EvolutionTrace:

@@ -63,9 +63,12 @@ class WorkerDiedError(GraError):
     """A sweep's worker process died, so its pool can run no more rules."""
 
 
-def check_number(value, name: str, *, integer: bool = False) -> None:
+def check_number(value, name: str, *, integer: bool = False, least=None) -> None:
     """GraError naming name unless value is a real number, or with integer
-    set an integer; a bool is neither, and NaN is not a number."""
+    set an integer; a bool is neither, and NaN is not a number.  With least
+    given, a value below it is refused too, after the type."""
     kind, noun = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind) or value != value:
         raise GraError(f"{name} must be {noun}, got {value!r}")
+    if least is not None and value < least:
+        raise GraError(f"{name} must be at least {least}, got {value}")

@@ -1,4 +1,8 @@
-"""Generators for valid 3-regular test and benchmark graphs."""
+"""Generators for valid 3-regular test and benchmark graphs.
+
+ring_chord_graph draws each state alive with probability 0.5;
+random_regular_graph takes the probability as alive_probability.
+"""
 
 import numpy as np
 
@@ -13,12 +17,13 @@ def _check_order(order) -> None:
         raise ValueError("order must be even and >= 4")
 
 
-def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) -> Graph:
+def ring_chord_graph(order: int, seed: int = 0) -> Graph:
     """Deterministic circulant graph: ring edges plus a chord to the
     antipodal vertex.  Valid for every even order >= 4 (order 4 gives K4).
 
     Built directly as a neighbor table so multi-million-vertex graphs are
-    cheap; states are drawn from the seeded generator.
+    cheap; each vertex is alive with probability 0.5, drawn from the
+    seeded generator.
     """
     _check_order(order)
     idx = np.arange(order, dtype=np.int64)
@@ -27,7 +32,7 @@ def ring_chord_graph(order: int, alive_probability: float = 0.5, seed: int = 0) 
     )
     neighbors.sort(axis=1)
     rng = np.random.default_rng(seed)
-    states = (rng.random(order) < alive_probability).astype(np.uint8)
+    states = (rng.random(order) < 0.5).astype(np.uint8)
     return Graph._wrap(neighbors, states)
 
 
@@ -48,4 +53,4 @@ def random_regular_graph(order: int, seed: int = 0, alive_probability: float = 0
         if (u < v).all() and np.unique(u * order + v).size == len(u):
             break
     states = (rng.random(order) < alive_probability).astype(np.uint8)
-    return build_graph(zip(u, v), states)
+    return build_graph(np.stack((u, v), axis=1), states)

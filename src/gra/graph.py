@@ -15,17 +15,20 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     DuplicateEdgeError,
+    GraError,
     GraphValidationError,
     IndexOutOfRangeError,
     NonBinaryStateError,
     NotThreeRegularError,
     SelfLoopError,
+    check_number,
 )
 
 Edge = tuple[int, int]
@@ -114,9 +117,10 @@ def build_graph(edge_list: Iterable[Edge] | np.ndarray, states: Sequence[int]) -
     Refused, in this order, each by one check over the whole array:
     states that are not a flat sequence of 0 and 1 (NonBinaryStateError);
     fewer than four vertices (GraphValidationError); edges that are not
-    pairs of integers (GraphValidationError); an endpoint out of range
-    (IndexOutOfRangeError); a self-loop (SelfLoopError); a repeated edge
-    (DuplicateEdgeError); a vertex of degree other than 3
+    pairs of integers, with a bool or a whole float refused too
+    (GraphValidationError); an endpoint out of range, an integer beyond
+    int64 included (IndexOutOfRangeError); a self-loop (SelfLoopError); a
+    repeated edge (DuplicateEdgeError); a vertex of degree other than 3
     (NotThreeRegularError).  With several faults, the error reported
     follows the order of these checks, not the order of the list.
 
@@ -134,10 +138,7 @@ def build_graph(edge_list: Iterable[Edge] | np.ndarray, states: Sequence[int]) -
     if order < 4:
         raise GraphValidationError(f"order {order} < 4 (smallest 3-regular graph is K4)")
 
-    try:
-        e = np.asarray(list(edge_list) or np.empty((0, 2), np.int64))
-    except ValueError:  # pairs mixed with longer or shorter tuples
-        e = np.empty(0)
+    e = edge_list if isinstance(edge_list, np.ndarray) else _edge_array(list(edge_list), order)
     if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
         raise GraphValidationError("edges must be pairs of integers")
     out = e[((e < 0) | (e >= order)).any(axis=1)]
@@ -156,6 +157,22 @@ def build_graph(edge_list: Iterable[Edge] | np.ndarray, states: Sequence[int]) -
     if wrong.size:
         raise NotThreeRegularError(f"vertex {wrong[0]} has degree {degree[wrong[0]]}, expected 3")
     return Graph._wrap((arcs % order).reshape(order, 3), states_arr.astype(np.uint8))
+
+
+def _edge_array(edges: list, order: int) -> np.ndarray:
+    """The edges as an int64 array, once check_number's integer rule holds
+    for one endpoint of each type among them (so a bool is refused, and a
+    float even when it is whole).  An integer beyond int64 is out of range."""
+    try:
+        ends = list(chain.from_iterable(edges))
+        for end in dict(zip(map(type, ends), ends)).values():
+            check_number(end, "endpoint", integer=True)
+        return np.asarray(edges or np.empty((0, 2)), np.int64)
+    except OverflowError:
+        bad = tuple(map(int, next(e for e in edges if not all(0 <= u < order for u in e))))
+        raise IndexOutOfRangeError(f"edge {bad} out of range for order {order}") from None
+    except (GraError, TypeError, ValueError):  # not an iterable, not an integer, or ragged
+        raise GraphValidationError("edges must be pairs of integers") from None
 
 
 def configuration_vector(g: Graph) -> np.ndarray:

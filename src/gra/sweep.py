@@ -88,9 +88,7 @@ class SweepConfig:
             )
         if not isinstance(self.initial, str):
             raise GraError(f"initial must be a string, got {self.initial!r}")
-        check_number(self.workers, "workers", integer=True)
-        if self.workers < 1:
-            raise GraError(f"workers must be at least 1, got {self.workers}")
+        check_number(self.workers, "workers", integer=True, least=1)
         self._initial_graph = resolve_initial_graph(self.initial)
         if self.budget.max_order < self._initial_graph.order:
             # orders never shrink, so every rule would stop on max-order at step 1

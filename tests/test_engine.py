@@ -441,6 +441,13 @@ def public_step_evolve(g, rule, budget):
 class TestStableIds:
     """evolve runs on stable ids; what it reports equals public steps."""
 
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_graph_with_no_splits_comes_back_as_it_was(self, g):
+        # with no division, the canonical positions are the identity
+        assert np.array_equal(canonical_positions(None, g.order), np.arange(g.order))
+        assert StableGraph.of(g).canonical() == g
+
     @given(graphs(), st.one_of(rules, all_divide_rules), st.integers(0, 6))
     @settings(max_examples=120, deadline=None)
     def test_evolve_matches_public_steps(self, g, rule, k):

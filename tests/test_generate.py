@@ -2,6 +2,7 @@ import pytest
 
 from gra.errors import GraError
 from gra.generate import random_regular_graph, ring_chord_graph
+from gra.graph import graph_digest
 
 
 class TestRandomRegularGraph:
@@ -23,6 +24,19 @@ class TestRandomRegularGraph:
 
 
 class TestRingChordGraph:
+    @pytest.mark.parametrize(
+        "order, seed, digest",
+        [
+            (4, 0, "adb08d9fce9cfa2e2de1d03efbe97c61"),
+            (8, 3, "be025ca1124ea96a9a4e25f4e8af3220"),
+            (64, 1, "89481a8ff5ccd5680057733934164d5d"),
+            (1000, 7, "2bebf75b1924b45dfccdd7e617acf7f4"),
+        ],
+    )
+    def test_graph_is_pinned(self, order, seed, digest):
+        # states drawn alive with probability 0.5 from the seeded generator
+        assert graph_digest(ring_chord_graph(order, seed=seed)) == digest
+
     @pytest.mark.parametrize("order", [2, 5])
     def test_bad_order_refused(self, order):
         with pytest.raises(ValueError, match="^order must be even and >= 4$"):

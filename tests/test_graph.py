@@ -88,6 +88,23 @@ class TestBuildGraph:
         with pytest.raises(GraphValidationError, match="pairs of integers"):
             build_graph([edge] + K4_EDGES[1:], (1, 0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "first, error, message",
+        [
+            # a bool is not an integer, mixed with ints or alone, numpy's or Python's
+            ((True, False), GraphValidationError, "edges must be pairs of integers"),
+            ((np.True_, 2), GraphValidationError, "edges must be pairs of integers"),
+            # an integer beyond int64 is out of range, not a non-integer
+            ((0, 2**63), IndexOutOfRangeError, "edge (0, 9223372036854775808) out of range for order 4"),
+            ((0, 2**70), IndexOutOfRangeError, f"edge (0, {2**70}) out of range for order 4"),
+        ],
+        ids=["bools", "numpy-bool", "2**63", "2**70"],
+    )
+    def test_endpoint_refused_by_its_type_or_its_size(self, first, error, message):
+        with pytest.raises(error) as raised:
+            build_graph([first] + K4_EDGES[1:], (1, 0, 0, 0))
+        assert str(raised.value) == message
+
     def test_integer_array_of_edges(self):
         edges = np.array(PRISM_EDGES, dtype=np.int32)
         assert build_graph(edges, (1, 0, 0, 0, 0, 1)) == build_graph(PRISM_EDGES, (1, 0, 0, 0, 0, 1))
