@@ -1,8 +1,12 @@
 """Shared strategies and small utilities for the test suite."""
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from gra import _kernels
 from gra.generate import random_regular_graph
 from gra.graph import Graph
 from gra.rules import decode
@@ -159,3 +163,17 @@ def reference_divide_all(neighbors, states, div, n_div):
                 new_neighbors[p, k] = t
             new_states[p] = states[v]
     return new_neighbors, new_states
+
+
+@contextlib.contextmanager
+def forced_split():
+    """The kernels split every call of 4 rows or 2 dividers or more into two
+    halves on two threads; gives the helper thread.  Skips where this
+    process does not split."""
+    helper = _kernels._helper()
+    if helper is None:
+        pytest.skip("the kernels split only where the process may use 2 CPUs")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SPLIT_ROWS", 4)
+        mp.setattr(_kernels, "_SPLIT_DIVIDERS", 2)
+        yield helper

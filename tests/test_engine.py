@@ -1,11 +1,14 @@
 import dataclasses
 import gc
 import itertools
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gra import _kernels, engine
@@ -42,7 +45,14 @@ from gra.graph import (
 from gra.rules import complement_rule, decode
 from gra.sweep import SweepConfig, run_sweep
 
-from helpers import graphs, isomorphic, loop_step_tables, reference_divide_all, rules
+from helpers import (
+    forced_split,
+    graphs,
+    isomorphic,
+    loop_step_tables,
+    reference_divide_all,
+    rules,
+)
 
 # golden 6x6 result of dividing vertex 1 of the one-alive K4
 DIVIDED_K4_ADJACENCY = np.array(
@@ -215,12 +225,18 @@ def assert_divide_all_agrees(g, states, div):
     assert np.array_equal(rank, self_rank(ref_nb)[pos]) and rank.dtype == np.uint8
 
 
+# TestBackendEquivalenceSplit runs these tests again with the kernels split,
+# and hypothesis flags a test that runs in two classes (the health check is
+# looked up by name, since early Hypothesis 6 releases do not have it)
+SPLIT_TOO = [check for check in HealthCheck if check.name == "differing_executors"]
+
+
 class TestBackendEquivalence:
     """The kernels give the same arrays as their references: the explicit
     loop for step_tables, the relabelling kernel for divide_all."""
 
     @given(graphs(), rules)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=SPLIT_TOO)
     def test_step_tables_agree(self, g, rule):
         ref = loop_step_tables(g.neighbors, g.states, rule.number)
         out = _kernels.step_tables(g.neighbors, g.states, rule.number)
@@ -229,7 +245,7 @@ class TestBackendEquivalence:
         assert int(out[2]) == int(ref[2])
 
     @given(graphs(), rules)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, suppress_health_check=SPLIT_TOO)
     def test_divide_all_agrees_on_rule_divisions(self, g, rule):
         new_states, div, n_div = _kernels.step_tables(
             g.neighbors, g.states, rule.number
@@ -238,14 +254,14 @@ class TestBackendEquivalence:
             assert_divide_all_agrees(g, new_states, div)
 
     @given(graphs(), st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, suppress_health_check=SPLIT_TOO)
     def test_divide_all_agrees_on_one_divider(self, g, data):
         div = np.zeros(g.order, dtype=np.uint8)
         div[data.draw(st.integers(0, g.order - 1))] = 1
         assert_divide_all_agrees(g, g.states, div)
 
     @given(graphs())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, suppress_health_check=SPLIT_TOO)
     def test_divide_all_agrees_when_every_vertex_divides(self, g):
         assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
 
@@ -272,6 +288,102 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(1026)
         assert_divide_all_agrees(g, g.states, (rng.random(g.order) < 0.19).astype(np.uint8))
         assert_divide_all_agrees(g, g.states, np.ones(g.order, dtype=np.uint8))
+
+
+class TestBackendEquivalenceSplit(TestBackendEquivalence):
+    """The same agreement with every call of 4 rows or 2 dividers or more
+    split into two halves on two threads, so each phase runs on both sides
+    of the cut: at realistic order, the mutual pair falls in different
+    halves."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def split(self):
+        with forced_split():
+            yield
+
+
+class TestSplitHalves:
+    """A split call behaves like a whole one when a half raises."""
+
+    @pytest.mark.parametrize("v", [3, 60], ids=["first-half", "second-half"])
+    def test_out_of_range_neighbor_raises_and_the_next_call_is_right(self, v):
+        g = ring_chord_graph(64)
+        bad = g.neighbors.copy()
+        bad[v, 2] = 10**6
+        every = np.ones(g.order, dtype=np.uint8)
+
+        def kernels():
+            with pytest.raises(IndexError):
+                _kernels.step_tables(bad, g.states, 1026)
+            nb, rank = _tables_with_room(StableGraph.of(g), 3 * g.order)
+            nb[: g.order] = bad
+            with pytest.raises(IndexError):
+                _kernels.divide_all(nb, g.states, every, g.order, rank=rank)
+
+        kernels()  # whole
+        with forced_split():
+            kernels()
+            ref = loop_step_tables(g.neighbors, g.states, 1026)
+            out = _kernels.step_tables(g.neighbors, g.states, 1026)
+            assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+            assert_divide_all_agrees(g, g.states, every)
+
+    def test_the_first_half_waits_for_the_second(self):
+        done = []
+
+        def half(fail):
+            if fail:
+                raise ValueError("first half")
+            time.sleep(0.2)
+            done.append(True)
+
+        with forced_split() as helper, pytest.raises(ValueError):
+            helper.run(half, (True,), (False,))
+        assert done == [True]
+
+    def test_the_second_half_raises_in_the_caller_with_its_type(self):
+        with forced_split() as helper:
+            with pytest.raises(KeyError, match="second half"):
+                helper.run(dict.__getitem__, ({1: 2}, 1), ({}, "second half"))
+            assert helper.run(dict.__getitem__, ({1: 2}, 1), ({3: 4}, 3)) == (2, 4)
+
+
+    def test_threads_calling_at_once_get_whole_call_results(self):
+        # more threads than CPUs share one helper: a call that finds it busy
+        # runs both halves itself, and no call reads another's half
+        g = ring_chord_graph(2000)
+        new_states, div, n_div = _kernels.step_tables(g.neighbors, g.states, 1026)
+
+        def divided():
+            nb, rank = _tables_with_room(StableGraph.of(g), g.order + 2 * n_div)
+            return _kernels.divide_all(nb, new_states, div, n_div, rank=rank)
+
+        whole = [_kernels.step_tables(g.neighbors, g.states, 1026), divided()]
+        wrong = []
+
+        def calls():
+            try:
+                for _ in range(30):
+                    got = [_kernels.step_tables(g.neighbors, g.states, 1026), divided()]
+                    for out, want in zip(got, whole):
+                        if not all(np.array_equal(a, b) for a, b in zip(out, want)):
+                            wrong.append(out)
+            except Exception as exc:  # reported by the assertion below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with forced_split():
+                threads = [threading.Thread(target=calls) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert n_div > 2 and wrong == []
 
 
 class TestKernelNames:

@@ -1,11 +1,17 @@
 import itertools
 import json
 import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from gra import _kernels
 from gra.analysis import ClassifyThresholds
 from gra.engine import Budget
 from gra.errors import ConfigMismatchError, GraError
@@ -281,6 +287,71 @@ class TestChunkedPool:
         resumed = run_sweep(self.config(2), journal_path=journal)
         assert resumed.to_json() == clean.to_json()
         assert journal.read_bytes() == clean_journal.read_bytes()
+
+
+# Runs in an interpreter of its own, so that a pool that hangs can be
+# killed.  It forces the kernels to split at 4 rows and 2 dividers, makes a
+# split call, which starts its helper thread, and then sweeps with two
+# forked workers.  Each worker writes its pid and whether it would split at
+# every state update; the last line printed is the sweep's own pid, whether
+# it splits and how many records came back.
+FORKED_SWEEP = """
+import multiprocessing, os, sys
+from gra import _kernels
+from gra.engine import Budget, step
+from gra.graph import canonical_g0
+from gra.rules import decode
+from gra.sweep import SweepConfig, run_sweep
+
+multiprocessing.set_start_method("fork")
+_kernels._SPLIT_ROWS, _kernels._SPLIT_DIVIDERS = 4, 2
+step(canonical_g0(), decode(1026))
+kernels = _kernels.ACTIVE
+
+
+def step_tables(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()} {_kernels._helper() is not None}\\n")
+    return kernels.step_tables(*args)
+
+
+_kernels.ACTIVE = kernels._replace(step_tables=step_tables)
+budget = Budget(max_steps=40, max_order=20_000)
+config = SweepConfig(rule_numbers=[256, 1026, 2222], initial="paper-g0", budget=budget, workers=2)
+print(os.getpid(), _kernels._helper() is not None, len(run_sweep(config).records))
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_pool_workers_do_not_split(tmp_path):
+    """A sweep forked from a process whose kernels split finishes, and its
+    pool workers, which share the CPUs, do not split."""
+    if _kernels._helper() is None:
+        pytest.skip("the kernels split only where the process may use 2 CPUs")
+    calls = tmp_path / "calls.txt"
+    env = {**os.environ, "PYTHONPATH": str(Path(sweep.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FORKED_SWEEP, str(calls)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its pool workers
+        proc.communicate()
+        pytest.fail("the sweep did not finish in 60 s")
+    assert proc.returncode == 0, err
+    pid, splits, records = out.split()
+    assert splits == "True" and records == "3"
+    seen = {tuple(line.split()) for line in calls.read_text().splitlines()}
+    assert seen and pid not in {worker for worker, _ in seen}
+    assert {worker_splits for _, worker_splits in seen} == {"False"}
 
 
 class TestResume:
